@@ -6,9 +6,12 @@ simplex contributes zero.  The full complex on all simplices (faces
 taken literally) is also available; truncated low-degree homology of
 that complex serves as an independent cross-check of the normalization.
 
-All arithmetic is exact over the integers; matrices are plain lists of
-Python ints, so intermediate entry growth in the reduction cannot
-overflow.
+Boundary maps are stored as sparse columns, one ``{row: coeff}`` dict
+per basis element with zero entries dropped.  Homology first eliminates
+unit (±1) pivots from those columns in one deterministic sweep and runs
+the dense Smith normal form only on the block that is left.  All
+arithmetic is exact over Python ints, so intermediate entry growth in
+either phase cannot overflow.
 """
 
 from __future__ import annotations
@@ -18,18 +21,21 @@ from dataclasses import dataclass
 from .core import ConsistencyError, Presentation, Simplex, TruncationError
 
 Matrix = tuple[tuple[int, ...], ...]
+Column = dict[int, int]
 
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Bases and boundary matrices for dimensions 0..N.
+    """Bases and sparse boundary maps for dimensions 0..N.
 
-    ``boundaries[n]`` maps dimension n to n-1 and has shape
-    (len(bases[n-1]), len(bases[n])); index 0 holds an empty matrix.
+    ``boundaries[n]`` maps dimension n to n-1: one sparse column per
+    element of ``bases[n]``, keyed by row index into ``bases[n-1]``,
+    with no zero entries.  Index 0 is empty.  The columns are never
+    mutated.
     """
 
     bases: tuple[tuple, ...]
-    boundaries: tuple[Matrix, ...]
+    boundaries: tuple[tuple[Column, ...], ...]
 
     @property
     def max_dim(self) -> int:
@@ -39,51 +45,68 @@ class ChainComplex:
         return len(self.bases[n]) if 0 <= n <= self.max_dim else 0
 
     def boundary(self, n: int) -> Matrix:
-        return self.boundaries[n]
+        """The boundary out of dimension n as a dense matrix, built on demand.
+
+        It has shape (len(bases[n-1]), len(bases[n])); for n = 0 it is empty.
+        """
+        if n == 0:
+            return ()
+        rows = range(len(self.bases[n - 1]))
+        return tuple(tuple(row) for row in _dense(self.boundaries[n], rows))
 
     def verify_boundary_squares_to_zero(self) -> bool:
         for n in range(2, self.max_dim + 1):
-            a = self.boundaries[n - 1]
-            b = self.boundaries[n]
-            rows = len(a)
-            mid = len(b)
-            cols = len(b[0]) if b else 0
-            for r in range(rows):
-                for c in range(cols):
-                    if sum(a[r][k] * b[k][c] for k in range(mid)) != 0:
-                        return False
+            lower = self.boundaries[n - 1]
+            for col in self.boundaries[n]:
+                image: Column = {}
+                for k, v in col.items():
+                    for r, w in lower[k].items():
+                        image[r] = image.get(r, 0) + v * w
+                if any(image.values()):
+                    return False
         return True
 
 
-def _matrix(rows: int, cols: int, entries) -> Matrix:
-    m = [[0] * cols for _ in range(rows)]
-    for (r, c), v in entries.items():
-        m[r][c] = v
-    return tuple(tuple(row) for row in m)
+def _dense(columns, row_at) -> list[list[int]]:
+    """Dense matrix of sparse columns; ``row_at[r]`` places row r, in order."""
+    m = [[0] * len(columns) for _ in row_at]
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            m[row_at[r]][c] = v
+    return m
 
 
-def normalized_complex(p: Presentation, max_dim: int) -> ChainComplex:
-    """Chain complex on nondegenerate generators, degenerate faces dropped."""
+def _column(rows) -> Column:
+    """Sparse column of the alternating face sum; ``None`` marks a dropped face."""
+    col: Column = {}
+    for i, r in enumerate(rows):
+        if r is not None:
+            col[r] = col.get(r, 0) + (-1) ** i
+    return {r: v for r, v in col.items() if v}
+
+
+def _check_max_dim(p: Presentation, max_dim: int) -> None:
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     if max_dim > p.top_dim:
         raise TruncationError(
             f"chain complex to dimension {max_dim} exceeds top_dim {p.top_dim}"
         )
+
+
+def normalized_complex(p: Presentation, max_dim: int) -> ChainComplex:
+    """Chain complex on nondegenerate generators, degenerate faces dropped."""
+    _check_max_dim(p, max_dim)
     bases = tuple(p.generators_at(n) for n in range(max_dim + 1))
     boundaries = [()]
     for n in range(1, max_dim + 1):
         row_of = {g: r for r, g in enumerate(bases[n - 1])}
-        entries: dict[tuple[int, int], int] = {}
-        for c, g in enumerate(bases[n]):
+        columns = []
+        for g in bases[n]:
             x = Simplex((), g)
-            for i in range(n + 1):
-                f = p.face(x, i)
-                if f.is_degenerate:
-                    continue
-                key = (row_of[f.gen], c)
-                entries[key] = entries.get(key, 0) + (-1) ** i
-        boundaries.append(_matrix(len(bases[n - 1]), len(bases[n]), entries))
+            faces = (p.face(x, i) for i in range(n + 1))
+            columns.append(_column(None if f.is_degenerate else row_of[f.gen] for f in faces))
+        boundaries.append(tuple(columns))
     return ChainComplex(bases, tuple(boundaries))
 
 
@@ -93,22 +116,14 @@ def unnormalized_complex(p: Presentation, max_dim: int) -> ChainComplex:
     Finite only because it is truncated; used as the low-degree oracle
     for the normalized computation.
     """
-    if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
-    if max_dim > p.top_dim:
-        raise TruncationError(
-            f"chain complex to dimension {max_dim} exceeds top_dim {p.top_dim}"
-        )
+    _check_max_dim(p, max_dim)
     bases = tuple(p.simplices(n) for n in range(max_dim + 1))
     boundaries = [()]
     for n in range(1, max_dim + 1):
         row_of = {s: r for r, s in enumerate(bases[n - 1])}
-        entries: dict[tuple[int, int], int] = {}
-        for c, x in enumerate(bases[n]):
-            for i in range(n + 1):
-                key = (row_of[p.face(x, i)], c)
-                entries[key] = entries.get(key, 0) + (-1) ** i
-        boundaries.append(_matrix(len(bases[n - 1]), len(bases[n]), entries))
+        boundaries.append(
+            tuple(_column(row_of[p.face(x, i)] for i in range(n + 1)) for x in bases[n])
+        )
     return ChainComplex(bases, tuple(boundaries))
 
 
@@ -196,6 +211,52 @@ def smith_normal_form(matrix) -> SNFResult:
     return SNFResult(tuple(diag), len(diag))
 
 
+def sparse_smith_normal_form(columns) -> SNFResult:
+    """Smith normal form of a sparse matrix given as ``{row: coeff}`` columns.
+
+    One sweep visits the columns in order.  A column holding a ±1 entry
+    pivots on it, in the row with the fewest nonzeros (then the smallest
+    row index).  Row operations clear the rest of that column, after
+    which column operations clear the pivot row without touching any
+    other entry, so the pivot row and column are simply dropped.  Each
+    step is unimodular and contributes one invariant factor 1; the
+    columns that never pivot go to the dense ``smith_normal_form``.
+    The input columns are not modified.
+    """
+    cols = [dict(col) for col in columns]
+    cols_in_row: dict[int, set[int]] = {}
+    for c, col in enumerate(cols):
+        for r in col:
+            cols_in_row.setdefault(r, set()).add(c)
+    pivots = 0
+    for c, col in enumerate(cols):
+        units = [r for r, v in col.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        p = min(units, key=lambda r: (len(cols_in_row[r]), r))
+        for r in col:
+            cols_in_row[r].discard(c)
+        piv = col.pop(p)
+        for j in cols_in_row.pop(p):
+            other = cols[j]
+            f = other.pop(p) * piv  # a[p][j] / piv, as piv is a unit
+            for r, v in col.items():
+                w = other.get(r, 0) - f * v
+                if w:
+                    if r not in other:
+                        cols_in_row[r].add(j)
+                    other[r] = w
+                elif r in other:
+                    del other[r]
+                    cols_in_row[r].discard(j)
+        cols[c] = {}
+        pivots += 1
+    left = [col for col in cols if col]
+    row_at = {r: i for i, r in enumerate(sorted({r for col in left for r in col}))}
+    residual = smith_normal_form(_dense(left, row_at))
+    return SNFResult((1,) * pivots + residual.factors, pivots + residual.rank)
+
+
 @dataclass(frozen=True)
 class HomologyGroup:
     """A finitely generated abelian group: free rank plus invariant factors."""
@@ -233,7 +294,7 @@ def homology_of_complex(c: ChainComplex) -> tuple[HomologyGroup, ...]:
     """
     snfs = [SNFResult((), 0)]
     for n in range(1, c.max_dim + 1):
-        snfs.append(smith_normal_form(c.boundary(n)))
+        snfs.append(sparse_smith_normal_form(c.boundaries[n]))
     out = []
     for n in range(c.max_dim):
         betti = c.rank_of_chains(n) - snfs[n].rank - snfs[n + 1].rank

@@ -1,11 +1,18 @@
 """Chain complexes, Smith normal form, and homology groups."""
 
+import importlib
+import json
+from pathlib import Path
+
 import pytest
 
 import ssets as S
-from ssets import HomologyGroup, Simplex
+from ssets import HomologyGroup, Simplex, cli
 
 from helpers import minor_gcd_invariant_factors
+
+H = importlib.import_module("ssets.homology")  # ssets.homology is also a function
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 def Z(betti=1, *torsion):
@@ -83,13 +90,42 @@ def test_boundary_squares_to_zero_everywhere():
         S.cone(),
         S.double_edge_circle(),
         S.nerve(S.cyclic(2), 5),
-        S.nerve(S.symmetric_3(), 3),
+        S.nerve(S.symmetric_3(), 5),
         S.product(S.standard_simplex(1), S.standard_simplex(1)),
     ]
     for p in fixtures:
         n = min(p.top_dim, p.max_generator_dim + 1)
         assert S.normalized_complex(p, n).verify_boundary_squares_to_zero()
         assert S.unnormalized_complex(p, min(n, 3)).verify_boundary_squares_to_zero()
+
+
+def test_boundary_square_check_sees_a_wrong_sign():
+    c = S.normalized_complex(S.standard_simplex(2), 2)
+    col = c.boundaries[2][0]
+    flipped = {r: -v if r == min(col) else v for r, v in col.items()}
+    broken = S.ChainComplex(c.bases, (c.boundaries[0], c.boundaries[1], (flipped,)))
+    assert not broken.verify_boundary_squares_to_zero()
+
+
+def _dense_homology(c):
+    snfs = [S.SNFResult((), 0)]
+    snfs += [S.smith_normal_form(c.boundary(n)) for n in range(1, c.max_dim + 1)]
+    return tuple(
+        HomologyGroup(
+            c.rank_of_chains(n) - snfs[n].rank - snfs[n + 1].rank,
+            tuple(f for f in snfs[n + 1].factors if f > 1),
+        )
+        for n in range(c.max_dim)
+    )
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.sset")), ids=lambda p: p.stem)
+def test_homology_matches_dense_snf_on_every_fixture(path):
+    p = S.load_presentation(path)
+    c = S.normalized_complex(p, p.top_dim)
+    for n in range(1, c.max_dim + 1):
+        assert H.sparse_smith_normal_form(c.boundaries[n]) == S.smith_normal_form(c.boundary(n))
+    assert S.homology_of_complex(c) == _dense_homology(c)
 
 
 def test_simplices_are_acyclic():
@@ -124,6 +160,37 @@ def test_nerve_z2_homology_and_oracle():
     for degree in range(3):
         oracle = S.homology_of_complex(S.unnormalized_complex(z2, degree + 2))
         assert oracle[degree] == groups[degree]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_classifying_space_of_cyclic_group(k):
+    groups = S.homology(S.nerve(S.cyclic(k), 5), 5)
+    assert list(groups) == [Z(), Z(0, k), ZERO, Z(0, k), ZERO]
+
+
+def test_classifying_space_of_s3():
+    groups = S.homology(S.nerve(S.symmetric_3(), 5), 5)
+    assert list(groups) == [Z(), Z(0, 2), ZERO, Z(0, 6), ZERO]
+
+
+def test_cli_structured_homology_of_bs3(tmp_path, capsys):
+    s3 = S.symmetric_3()
+    writable = S.GroupTable(tuple(f"g{i}" for i in range(6)), s3.table, s3.identity)
+    f = tmp_path / "s3.sset"
+    S.save_presentation(S.nerve(writable, 5), f)
+    code = cli.main(["--format", "structured", "homology", str(f), "--max-dim", "5"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "homology",
+        "max_dim": 5,
+        "groups": [
+            {"degree": 0, "betti": 1, "torsion": []},
+            {"degree": 1, "betti": 0, "torsion": [2]},
+            {"degree": 2, "betti": 0, "torsion": []},
+            {"degree": 3, "betti": 0, "torsion": [6]},
+            {"degree": 4, "betti": 0, "torsion": []},
+        ],
+    }
 
 
 def test_unnormalized_oracle_on_other_fixtures():

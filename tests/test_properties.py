@@ -1,7 +1,9 @@
 """Property suites: identities under rewriting, randomized presentations,
 mutation detection, and hypothesis-driven oracle comparisons."""
 
+import importlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,54 @@ def test_snf_agrees_with_minor_gcd_oracle(rows):
     got = S.smith_normal_form(rows)
     assert got.factors == minor_gcd_invariant_factors(rows)
     assert got.rank == len(got.factors)
+
+
+H = importlib.import_module("ssets.homology")  # ssets.homology is also a function
+DENSE_SNF = H.smith_normal_form
+
+
+@st.composite
+def unit_pivot_cases(draw):
+    """(kind, matrix): no ±1 entries at all, arbitrary small entries, or
+    upper triangular with a ±1 diagonal, which the unit sweep clears fully."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("no_units", "mixed", "unit_triangular")))
+    if kind == "no_units":
+        entry = st.sampled_from((0, 0, 2, -2, 3, -4, 6, 9))
+    else:
+        entry = st.integers(-3, 3)
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if kind == "unit_triangular":
+        for r in range(rows):
+            m[r][: min(r, cols)] = [0] * min(r, cols)
+            if r < cols:
+                m[r][r] = draw(st.sampled_from((1, -1)))
+    return kind, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_pivot_cases())
+def test_sparse_snf_agrees_with_dense_snf(case):
+    kind, m = case
+    columns = [{r: row[c] for r, row in enumerate(m) if row[c]} for c in range(len(m[0]))]
+    before = [dict(col) for col in columns]
+    residuals = []
+
+    def recording_dense_snf(matrix):
+        residuals.append(matrix)
+        return DENSE_SNF(matrix)
+
+    with mock.patch.object(H, "smith_normal_form", recording_dense_snf):
+        got = H.sparse_smith_normal_form(columns)
+    assert got == DENSE_SNF(m)
+    assert columns == before
+    (residual,) = residuals
+    if kind == "no_units":
+        nonzero_rows = sum(1 for row in m if any(row))
+        nonzero_cols = sum(1 for col in columns if col)
+        assert (len(residual), len(residual[0]) if residual else 0) == (nonzero_rows, nonzero_cols)
+    elif kind == "unit_triangular":
+        assert residual == []
 
 
 @settings(max_examples=100, deadline=None)
