@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -247,6 +248,8 @@ class Presentation:
                 raise StructureError(f"missing face entries for {g}")
         self._faces = table
         self._simplices_cache: dict[int, tuple[Simplex, ...]] = {}
+        self._face_rows_cache: dict[int, tuple[tuple[Simplex, ...], ...]] = {}
+        self._match_index: dict[tuple[int, tuple[int, ...]], dict] = {}
 
     # -- generator access ------------------------------------------------
 
@@ -349,6 +352,39 @@ class Presentation:
         result = tuple(out)
         self._simplices_cache[n] = result
         return result
+
+    def matching(
+        self, n: int, pattern: Sequence[Simplex | None]
+    ) -> tuple[Simplex, ...]:
+        """The n-simplices z with d_i z = pattern[i] wherever that is not None.
+
+        The answer is in enumeration order.  It is looked up in an index
+        keyed on the fixed slots, built on the first query for those
+        slots in dimension n from the face rows of ``simplices(n)``; the
+        rows take one pass of n+1 ``face`` calls per simplex, once per
+        dimension.  A pattern with no fixed slot returns ``simplices(n)``.
+        """
+        if len(pattern) != n + 1:
+            raise ValueError(f"a pattern on {n}-simplices has {n + 1} slots")
+        fixed = tuple(i for i, f in enumerate(pattern) if f is not None)
+        if not fixed:
+            return self.simplices(n)
+        key = itemgetter(*fixed)
+        index = self._match_index.get((n, fixed))
+        if index is None:
+            rows = self._face_rows_cache.get(n)
+            if rows is None:
+                rows = tuple(
+                    tuple(self.face(z, i) for i in range(n + 1))
+                    for z in self.simplices(n)
+                )
+                self._face_rows_cache[n] = rows
+            groups: dict = {}
+            for z, row in zip(self.simplices(n), rows):
+                groups.setdefault(key(row), []).append(z)
+            index = {k: tuple(zs) for k, zs in groups.items()}
+            self._match_index[(n, fixed)] = index
+        return index.get(key(pattern), ())
 
     def count_simplices(self, n: int) -> int:
         """Closed-form count of n-simplices: sum over m of g_m * C(n, m)."""

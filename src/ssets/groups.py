@@ -115,15 +115,18 @@ def klein_four() -> GroupTable:
 
 
 def symmetric_3() -> GroupTable:
-    """The symmetric group on three letters, the smallest nonabelian group."""
+    """The symmetric group on three letters, the smallest nonabelian group.
+
+    Transpositions are ``t..``: the file grammar reads ``s..`` as a degeneracy.
+    """
     perms = sorted(permutations(range(3)))
     name_of = {
         (0, 1, 2): "e",
         (1, 2, 0): "r",
         (2, 0, 1): "r2",
-        (1, 0, 2): "s01",
-        (0, 2, 1): "s12",
-        (2, 1, 0): "s02",
+        (1, 0, 2): "t01",
+        (0, 2, 1): "t12",
+        (2, 1, 0): "t02",
     }
     names = tuple(name_of[p] for p in perms)
     index = {p: i for i, p in enumerate(perms)}

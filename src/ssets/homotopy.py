@@ -146,24 +146,7 @@ def homotopy_witness(p: Presentation, x: Simplex, xp: Simplex) -> Simplex | None
     (n-1)-degeneracy of the common face d_i x for i < n.  Boundaries of
     x and xp must agree; otherwise there is nothing to search for.
     """
-    n = x.dim
-    if xp.dim != n:
-        raise ValueError("simplices must have equal dimension")
-    if n + 1 > p.top_dim:
-        raise TruncationError(
-            f"witness search in dimension {n + 1} exceeds top_dim {p.top_dim}"
-        )
-    if n and any(p.face(x, i) != p.face(xp, i) for i in range(n + 1)):
-        return None
-    lows = [degenerate(p.face(x, i), n - 1) for i in range(n)]
-    for y in p.simplices(n + 1):
-        if (
-            p.face(y, n) == x
-            and p.face(y, n + 1) == xp
-            and all(p.face(y, i) == lows[i] for i in range(n))
-        ):
-            return y
-    return None
+    return _witness(p, x, xp, x.dim)
 
 
 def homotopy_witness_shifted(
@@ -174,6 +157,15 @@ def homotopy_witness_shifted(
     The remaining faces must equal the faces of s_r x.  For r = n this
     is the standard relation; all shifts define the same classes on Kan
     complexes, which is what the index-shift property tests exercise.
+    """
+    return _witness(p, x, xp, r)
+
+
+def _witness(p: Presentation, x: Simplex, xp: Simplex, r: int) -> Simplex | None:
+    """The least y with the faces of ``_witness_pattern``.
+
+    Both public searches call this rather than each other, so a wrapper
+    around either one (such as a tracer) sees each search once.
     """
     n = x.dim
     if xp.dim != n:
@@ -186,16 +178,16 @@ def homotopy_witness_shifted(
         )
     if n and any(p.face(x, i) != p.face(xp, i) for i in range(n + 1)):
         return None
+    found = p.matching(n + 1, _witness_pattern(p, x, xp, r))
+    return found[0] if found else None
+
+
+def _witness_pattern(p: Presentation, x: Simplex, xp: Simplex, r: int) -> list:
+    """The faces of a witness from x to xp: those of s_r x, with xp on face r+1."""
     sx = degenerate(x, r)
-    want = {i: p.face(sx, i) for i in range(n + 2) if i not in (r, r + 1)}
-    for y in p.simplices(n + 1):
-        if (
-            p.face(y, r) == x
-            and p.face(y, r + 1) == xp
-            and all(p.face(y, i) == w for i, w in want.items())
-        ):
-            return y
-    return None
+    faces = [p.face(sx, i) for i in range(x.dim + 2)]
+    faces[r + 1] = xp
+    return faces
 
 
 def _partition(p: Presentation, reps, witness) -> tuple[tuple[tuple[int, ...], ...], bool]:
@@ -261,15 +253,8 @@ def simplices_homotopic(p: Presentation, x: Simplex, xp: Simplex) -> bool:
         return True
     if n and any(p.face(x, i) != p.face(xp, i) for i in range(n + 1)):
         return False
-    if n == 0:
-        fiber = list(p.simplices(0))
-    else:
-        bd = [p.face(x, i) for i in range(n + 1)]
-        fiber = [
-            z
-            for z in p.simplices(n)
-            if all(p.face(z, i) == bd[i] for i in range(n + 1))
-        ]
+    bd = [p.face(x, i) for i in range(n + 1)] if n else [None]
+    fiber = p.matching(n, bd)
     partition, _ = _partition(p, fiber, lambda a, b: homotopy_witness(p, a, b))
     ix = fiber.index(x)
     jx = fiber.index(xp)
@@ -346,12 +331,8 @@ def _check_table_is_group(table, identity):
 
 
 def _sphere_representatives(based: BasedPresentation, n: int) -> tuple[Simplex, ...]:
-    p = based.presentation
-    return tuple(
-        x
-        for x in p.simplices(n)
-        if all(based.at_basepoint(p.face(x, i)) for i in range(n + 1))
-    )
+    star = based.basepoint_simplex(n - 1)
+    return based.presentation.matching(n, [star] * (n + 1))
 
 
 def _product_horn(based: BasedPresentation, n: int, x: Simplex, y: Simplex) -> HornSpec:
@@ -656,29 +637,14 @@ def rel_homotopy_witness(
     d0x, d0xp = p.face(x, 0), p.face(xp, 0)
     if not (a_sub.contains(d0x) and a_sub.contains(d0xp)):
         return None
-    a_pres = a_sub.restriction()
-    lows = [degenerate(p.face(x, i), n - 1) for i in range(1, n)]
-    for w in p.simplices(n + 1):
-        if p.face(w, n) != x or p.face(w, n + 1) != xp:
-            continue
-        if any(p.face(w, i) != lows[i - 1] for i in range(1, n)):
-            continue
+    pattern = _witness_pattern(p, x, xp, n)
+    pattern[0] = None
+    # y must witness d_0 x ~ d_0 xp inside the subcomplex
+    y_faces = _witness_pattern(p, d0x, d0xp, n - 1)
+    for w in p.matching(n + 1, pattern):
         y = p.face(w, 0)
-        if not a_sub.contains(y):
-            continue
-        # y must witness d_0 x ~ d_0 xp inside the subcomplex
-        m = n - 1
-        if m == 0:
-            if a_pres.face(y, 0) == d0x and a_pres.face(y, 1) == d0xp:
-                return w, y
-            continue
-        if (
-            a_pres.face(y, m) == d0x
-            and a_pres.face(y, m + 1) == d0xp
-            and all(
-                a_pres.face(y, i) == degenerate(a_pres.face(d0x, i), m - 1)
-                for i in range(m)
-            )
+        if a_sub.contains(y) and all(
+            p.face(y, i) == f for i, f in enumerate(y_faces)
         ):
             return w, y
     return None
@@ -695,13 +661,8 @@ def simplices_homotopic_rel(
         return True
     if any(p.face(x, i) != p.face(xp, i) for i in range(1, n + 1)):
         return False
-    bd = [p.face(x, i) for i in range(1, n + 1)]
-    fiber = [
-        z
-        for z in p.simplices(n)
-        if a_sub.contains(p.face(z, 0))
-        and all(p.face(z, i) == bd[i - 1] for i in range(1, n + 1))
-    ]
+    bd = [None] + [p.face(x, i) for i in range(1, n + 1)]
+    fiber = [z for z in p.matching(n, bd) if a_sub.contains(p.face(z, 0))]
     if x not in fiber or xp not in fiber:
         return False
     partition, _ = _partition(
@@ -713,11 +674,9 @@ def simplices_homotopic_rel(
 
 def _rel_representatives(based, a_sub, n):
     p = based.presentation
+    star = based.basepoint_simplex(n - 1)
     return tuple(
-        x
-        for x in p.simplices(n)
-        if a_sub.contains(p.face(x, 0))
-        and all(based.at_basepoint(p.face(x, i)) for i in range(1, n + 1))
+        x for x in p.matching(n, [None] + [star] * n) if a_sub.contains(p.face(x, 0))
     )
 
 

@@ -1,10 +1,11 @@
 """Horn compatibility, exhaustive horn filling, and Kan checks.
 
 A horn is a compatible family of would-be faces with one slot missing.
-Filling searches the full simplex enumeration of the filler dimension,
-so it is exact below the presentation's trusted bound and refuses to
-answer above it: a missing filler there could be a truncation artifact
-rather than a mathematical fact.
+Filling looks the horn up in the presentation's face-pattern index
+(``Presentation.matching``), which covers the full simplex enumeration
+of the filler dimension, so it is exact below the presentation's
+trusted bound and refuses to answer above it: a missing filler there
+could be a truncation artifact rather than a mathematical fact.
 """
 
 from __future__ import annotations
@@ -89,6 +90,11 @@ def horn_compatible(p: Presentation, h: HornSpec) -> bool:
 
 
 def _matches(p: Presentation, z: Simplex, h: HornSpec) -> bool:
+    """Whether z fills h, checked face by face.
+
+    The searches below ask ``Presentation.matching`` instead; this stays
+    because ``bench/trace_shim.py`` wraps it by name when it installs.
+    """
     return all(
         p.face(z, i) == h.faces[i] for i in range(h.n + 1) if i != h.k
     )
@@ -107,10 +113,8 @@ def fill_horn(p: Presentation, h: HornSpec) -> Simplex | None:
     _check_fillable_dim(p, h.n)
     if not horn_compatible(p, h):
         raise ValueError(f"faces of {h.describe()} are not compatible")
-    for z in p.simplices(h.n):
-        if _matches(p, z, h):
-            return z
-    return None
+    fillers = p.matching(h.n, h.faces)
+    return fillers[0] if fillers else None
 
 
 def fill_horn_all(p: Presentation, h: HornSpec) -> tuple[Simplex, ...]:
@@ -118,7 +122,7 @@ def fill_horn_all(p: Presentation, h: HornSpec) -> tuple[Simplex, ...]:
     _check_fillable_dim(p, h.n)
     if not horn_compatible(p, h):
         raise ValueError(f"faces of {h.describe()} are not compatible")
-    return tuple(z for z in p.simplices(h.n) if _matches(p, z, h))
+    return p.matching(h.n, h.faces)
 
 
 def kan_check(p: Presentation, max_n: int) -> KanReport:
@@ -133,8 +137,6 @@ def kan_check(p: Presentation, max_n: int) -> KanReport:
     witnesses = []
     checked = 0
     for n in range(1, max_n + 1):
-        level = p.simplices(n - 1)
-        candidates = p.simplices(n)
         for k in range(n + 1):
             slots = [i for i in range(n + 1) if i != k]
 
@@ -143,16 +145,16 @@ def kan_check(p: Presentation, max_n: int) -> KanReport:
                 if pos == len(slots):
                     h = HornSpec.from_faces(n, k, chosen)
                     checked += 1
-                    if not any(_matches(p, z, h) for z in candidates):
+                    if not p.matching(n, h.faces):
                         witnesses.append(h)
                     return
                 # slots are filled in increasing order, so previous ones are < j
+                # and the face d_i x must equal d_{j-1} of the face in slot i
                 j = slots[pos]
-                for x in level:
-                    if n >= 2 and any(
-                        p.face(x, i) != p.face(chosen[i], j - 1) for i in slots[:pos]
-                    ):
-                        continue
+                pattern = [None] * n
+                for i in slots[:pos]:
+                    pattern[i] = p.face(chosen[i], j - 1)
+                for x in p.matching(n - 1, pattern):
                     chosen[j] = x
                     backtrack(pos + 1, chosen)
                     del chosen[j]

@@ -48,6 +48,22 @@ def seq_to_simplex(seq) -> Simplex:
     return Simplex(tuple(word), GenId(len(seq) - 1, name))
 
 
+# -- linear-scan oracle for the face-pattern index -----------------------------
+
+
+def scan_matching(p: Presentation, n: int, pattern) -> tuple[Simplex, ...]:
+    """The n-simplices whose faces equal pattern off its None slots, by a scan.
+
+    The reference for ``Presentation.matching``: it tests every simplex
+    face by face instead of consulting an index.
+    """
+    return tuple(
+        z
+        for z in p.simplices(n)
+        if all(f is None or p.face(z, i) == f for i, f in enumerate(pattern))
+    )
+
+
 # -- random ordered complexes -------------------------------------------------
 
 

@@ -192,6 +192,18 @@ def test_identity_axiom_everywhere():
                     assert p.face(y, j + 1) == x
 
 
+def test_matching_pattern_shape(delta1):
+    zero, one = (Simplex((), delta1.generator(0, v)) for v in "01")
+    assert delta1.matching(0, [None]) == delta1.simplices(0)
+    assert delta1.matching(1, [None, None]) == delta1.simplices(1)
+    assert delta1.matching(1, [zero, one]) == ()
+    assert delta1.matching(1, [one, zero]) == (Simplex((), delta1.generator(1, "0.1")),)
+    with pytest.raises(ValueError):
+        delta1.matching(1, [one])
+    with pytest.raises(ValueError):
+        delta1.matching(0, [zero])
+
+
 def test_face_errors():
     p = S.standard_simplex(1)
     v = Simplex((), p.generator(0, "0"))

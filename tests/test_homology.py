@@ -174,10 +174,8 @@ def test_classifying_space_of_s3():
 
 
 def test_cli_structured_homology_of_bs3(tmp_path, capsys):
-    s3 = S.symmetric_3()
-    writable = S.GroupTable(tuple(f"g{i}" for i in range(6)), s3.table, s3.identity)
     f = tmp_path / "s3.sset"
-    S.save_presentation(S.nerve(writable, 5), f)
+    S.save_presentation(S.nerve(S.symmetric_3(), 5), f)
     code = cli.main(["--format", "structured", "homology", str(f), "--max-dim", "5"])
     assert code == 0
     assert json.loads(capsys.readouterr().out) == {

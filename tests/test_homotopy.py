@@ -65,6 +65,22 @@ def test_nerve_edges_fall_into_singleton_classes(z2):
     assert S.simplices_homotopic(p, g_edge, g_edge)
 
 
+def test_one_step_witness_has_a_direction():
+    # edges e, f from a to b and one 2-cell y with faces (s0 b, e, f):
+    # y witnesses e ~ f but nothing witnesses f ~ e, so closure is needed
+    a, b, e, f, y = GenId(0, "a"), GenId(0, "b"), GenId(1, "e"), GenId(1, "f"), GenId(2, "y")
+    va, vb, xe, xf = (Simplex((), g) for g in (a, b, e, f))
+    p = Presentation(
+        [a, b, e, f, y], {e: (vb, va), f: (vb, va), y: (S.degenerate(vb, 0), xe, xf)}, 2
+    )
+    assert p.validate().ok
+    assert S.homotopy_witness(p, xe, xf) == Simplex((), y)
+    assert S.homotopy_witness(p, xf, xe) is None
+    assert S.homotopy_witness_shifted(p, xe, xf, 1) == Simplex((), y)
+    assert S.homotopy_witness_shifted(p, xf, xe, 1) is None
+    assert S.homotopy_classes(p, [xe, xf]) == (((0, 1),), True)
+
+
 def test_homotopy_needs_headroom():
     z2_short = S.nerve(S.cyclic(2), 1)
     e = Simplex((), z2_short.generator(1, "g"))

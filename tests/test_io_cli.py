@@ -105,6 +105,16 @@ def test_unserializable_names_rejected_on_save():
         sio.dumps_presentation(p)
 
 
+def test_s3_nerve_round_trips_through_the_file_grammar(tmp_path):
+    p = S.nerve(S.symmetric_3(), 3)
+    assert [g.name for g in p.generators_at(1)] == ["r", "r2", "t01", "t02", "t12"]
+    f = tmp_path / "s3.sset"
+    S.save_presentation(p, f)
+    q = S.load_presentation(f)
+    assert q == p
+    assert all(q.simplices(n) == p.simplices(n) for n in range(4))
+
+
 def test_map_document_round_trip():
     m = sio.load_map(FIXTURES / "collapse.smap")
     assert S.validate_map(m).ok

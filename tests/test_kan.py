@@ -91,6 +91,14 @@ def test_more_nerves_are_kan():
     assert S.kan_check(S.nerve(S.klein_four(), 4), 2).is_kan
 
 
+def test_nerve_of_z8_is_kan_up_to_four():
+    # a compatible n-horn of a group nerve is fixed by n-1 free elements,
+    # and there are n+1 horn indices; dimension 1 has 2 horns over *
+    report = S.kan_check(S.nerve(S.cyclic(8), 4), 4)
+    assert report.is_kan
+    assert report.horns_checked == 2 + 3 * 8**2 + 4 * 8**3 + 5 * 8**4 == 22722
+
+
 def test_monotonicity_of_kan_reports():
     fixtures = [
         S.standard_simplex(0, top_dim=4),
@@ -112,6 +120,29 @@ def test_truncation_errors():
     )
     with pytest.raises(S.TruncationError):
         S.fill_horn(z2, h)
+
+
+def test_truncation_is_refused_before_any_index_is_built(monkeypatch):
+    # a hostile dimension must not allocate a face-pattern index
+    def no_index(self, n, pattern):
+        raise AssertionError(f"index queried in dimension {n}")
+
+    monkeypatch.setattr(S.Presentation, "matching", no_index)
+    z2 = S.nerve(S.cyclic(2), 2)
+    star = z2.generator(0, "*")
+    for n in (3, 200):
+        face = S.vertex_simplex(star, n - 1)
+        h = HornSpec.from_faces(n, 0, {i: face for i in range(1, n + 1)})
+        with pytest.raises(S.TruncationError):
+            S.fill_horn(z2, h)
+        with pytest.raises(S.TruncationError):
+            S.fill_horn_all(z2, h)
+        with pytest.raises(S.TruncationError):
+            S.homotopy_witness(z2, face, face)
+        with pytest.raises(S.TruncationError):
+            S.homotopy_witness_shifted(z2, face, face, 0)
+        with pytest.raises(S.TruncationError):
+            S.kan_check(z2, n)
 
 
 def test_fill_rejects_incompatible_horn(delta1):

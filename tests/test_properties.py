@@ -3,6 +3,7 @@ mutation detection, and hypothesis-driven oracle comparisons."""
 
 import importlib
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from helpers import (
     oracle_degeneracy,
     oracle_face,
     random_complex,
+    scan_matching,
     seq_of,
     seq_to_simplex,
     swap_faces,
@@ -44,6 +46,48 @@ def test_rewriting_confluence_up_to_dim_five(p):
             for j in range(1, n + 1):
                 for i in range(j):
                     assert p.face(p.face(x, j), i) == p.face(p.face(x, i), j - 1)
+
+
+SHIPPED = sorted((Path(__file__).parent.parent / "fixtures").glob("*.sset"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_matching_agrees_with_the_linear_scan(path):
+    # every subset of fixed slots, with patterns taken from real face rows
+    # spread through the enumeration, and one pattern no simplex can have
+    p = S.load_presentation(path)
+    for n in range(p.top_dim + 1):
+        level = p.simplices(n)
+        step = max(1, len(level) // 4)
+        rows = [
+            [p.face(z, i) for i in range(n + 1)] if n else [None]
+            for z in level[::step]
+        ]
+        for fixed in range(2 ** (n + 1) if n else 1):
+            for row in rows:
+                pattern = [f if fixed >> i & 1 else None for i, f in enumerate(row)]
+                assert p.matching(n, pattern) == scan_matching(p, n, pattern)
+        if n >= 2:
+            low = p.simplices(n - 1)
+            pairs = ((a, b) for a in low for b in low if p.face(a, 0) != p.face(b, 0))
+            a, b = next(pairs, (None, None))
+            if a is not None:
+                # d_0 d_1 z = d_0 d_0 z, so no z has d_0 z = a and d_1 z = b
+                pattern = [a, b] + [None] * (n - 1)
+                assert p.matching(n, pattern) == scan_matching(p, n, pattern) == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matching_agrees_with_the_scan_on_random_nerves(data):
+    _, table = data.draw(st.sampled_from(S.all_group_tables(5)))
+    p = S.nerve(table, 3)
+    n = data.draw(st.integers(1, 3))
+    z = data.draw(st.sampled_from(p.simplices(n)))
+    fixed = data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))
+    pattern = [p.face(z, i) if keep else None for i, keep in enumerate(fixed)]
+    assert p.matching(n, pattern) == scan_matching(p, n, pattern)
+    assert z in p.matching(n, pattern)
 
 
 @pytest.mark.parametrize("p", FIXTURES, ids=lambda p: p.name or "fixture")
