@@ -181,6 +181,24 @@ class ValidationReport:
         return not self.fatal and not self.violations
 
 
+def face_rows(p: Presentation):
+    """A function from a simplex x of p to its faces (d_0 x, ..., d_n x).
+
+    Each distinct simplex's row is computed on first request and kept
+    only by the returned function, so a caller that asks for the faces of
+    many shared simplices pays for each once and shares no state.
+    """
+    rows: dict[Simplex, tuple[Simplex, ...]] = {}
+
+    def row(x: Simplex) -> tuple[Simplex, ...]:
+        r = rows.get(x)
+        if r is None:
+            r = rows[x] = tuple(p.face(x, i) for i in range(x.dim + 1))
+        return r
+
+    return row
+
+
 class Presentation:
     """A finitely presented simplicial set.
 
@@ -400,7 +418,9 @@ class Presentation:
         """Check face targets and the d_i d_j = d_{j-1} d_i identity.
 
         Dangling generator references are fatal and reported before any
-        identity is evaluated.
+        identity is evaluated.  Both sides are read off the face rows of
+        the stored faces of each generator; those rows are computed once
+        per distinct simplex, however many generators share it.
         """
         fatal = []
         for g in self.all_generators():
@@ -412,14 +432,15 @@ class Presentation:
         if fatal:
             return ValidationReport(tuple(fatal), ())
         violations = []
+        row = face_rows(self)
         for g in self.all_generators():
             if g.dim < 2:
                 continue
-            x = Simplex((), g)
+            rows = [row(f) for f in self._faces[g]]
             for j in range(1, g.dim + 1):
                 for i in range(j):
-                    lhs = self.face(self.face(x, j), i)
-                    rhs = self.face(self.face(x, i), j - 1)
+                    lhs = rows[j][i]
+                    rhs = rows[i][j - 1]
                     if lhs != rhs:
                         violations.append(DDViolation(g, i, j, lhs, rhs))
         return ValidationReport((), tuple(violations))

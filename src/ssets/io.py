@@ -199,6 +199,20 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
     for g in gens:
         all_names.setdefault(g.name, []).append(g)
 
+    # Each distinct expression is parsed once per document.  Only those
+    # already canonical are remembered, so a word that is normalized warns
+    # again on every line it appears on, and an error is raised by its
+    # first occurrence.
+    parsed: dict[tuple[str, int], Simplex] = {}
+
+    def parse(text, dim, lineno):
+        simplex = parsed.get((text, dim))
+        if simplex is None:
+            simplex = parse_face_expression(text, dim, lookup, lineno)
+            if format_simplex(simplex) == text:
+                parsed[(text, dim)] = simplex
+        return simplex
+
     faces: dict[GenId, tuple[Simplex, ...]] = {}
     for lineno, gen_name, entries in face_lines:
         candidates = all_names.get(gen_name, [])
@@ -218,9 +232,7 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
             raise SemanticError(
                 f"generator {gen_name!r} needs {g.dim + 1} faces, got {len(entries)}"
             )
-        faces[g] = tuple(
-            parse_face_expression(e, g.dim - 1, lookup, lineno) for e in entries
-        )
+        faces[g] = tuple(parse(e, g.dim - 1, lineno) for e in entries)
     for g in gens:
         if g.dim >= 1 and g not in faces:
             raise SemanticError(f"generator {g.name!r} has no face entries")

@@ -19,6 +19,7 @@ from .core import (
     StructureError,
     apply_word,
     compact_simplex,
+    face_rows,
     vertex_simplex,
 )
 from .constructions import standard_simplex, vertex_sequence
@@ -28,12 +29,12 @@ from .morphism import SimplicialMap
 class ProductPresentation(Presentation):
     """A product presentation remembering its factors and the pair encoding."""
 
-    def __init__(self, left, right, generators, faces, pair_of, top_dim, name):
-        super().__init__(generators, faces, top_dim, name=name)
+    def __init__(self, left, right, faces, pair_of, gen_of_pair, top_dim, name):
+        super().__init__(pair_of, faces, top_dim, name=name)
         self.left = left
         self.right = right
-        self._pair_of = dict(pair_of)
-        self._gen_of_pair = {pair: g for g, pair in pair_of.items()}
+        self._pair_of = pair_of
+        self._gen_of_pair = gen_of_pair
 
     def pair_of(self, g: GenId) -> tuple[Simplex, Simplex]:
         try:
@@ -78,39 +79,62 @@ def _pair_name(a: Simplex, b: Simplex) -> str:
     return f"({compact_simplex(a)}|{compact_simplex(b)})"
 
 
+def _word_mask(x: Simplex) -> int:
+    mask = 0
+    for j in x.word:
+        mask |= 1 << j
+    return mask
+
+
+def _compatible_pairs(xs, ys):
+    """The pairs (a, b) of xs x ys whose degeneracy words share no index.
+
+    Pairs come a-major in the order of ``xs`` and ``ys``.  The partners of
+    a are the same for every a with the same word, so they are listed
+    once per word, by a bitmask test against each b.
+    """
+    y_masks = [(b, _word_mask(b)) for b in ys]
+    partners: dict[int, list[Simplex]] = {}
+    for a in xs:
+        mask = _word_mask(a)
+        bs = partners.get(mask)
+        if bs is None:
+            bs = partners[mask] = [b for b, m in y_masks if not m & mask]
+        for b in bs:
+            yield a, b
+
+
 def product(x: Presentation, y: Presentation, name: str | None = None) -> ProductPresentation:
-    """The product presentation, truncated at the sum of the factor bounds."""
+    """The product presentation, truncated at the sum of the factor bounds.
+
+    Faces are computed once per distinct simplex: each factor simplex's
+    face row once, and each pair of component faces is put in canonical
+    pair form once, however many cells share it.
+    """
     pair_of: dict[GenId, tuple[Simplex, Simplex]] = {}
     gen_of_pair: dict[tuple[Simplex, Simplex], GenId] = {}
-    gens = []
-    top_gen_dim = x.max_generator_dim + y.max_generator_dim
-    for n in range(top_gen_dim + 1):
-        ys = y.simplices(n)
-        for a in x.simplices(n):
-            aw = set(a.word)
-            for b in ys:
-                if aw & set(b.word):
-                    continue
-                g = GenId(n, _pair_name(a, b))
-                gens.append(g)
-                pair_of[g] = (a, b)
-                gen_of_pair[(a, b)] = g
+    faces: dict[GenId, tuple[Simplex, ...]] = {}
+    x_row, y_row = face_rows(x), face_rows(y)
+    canonical: dict[tuple[Simplex, Simplex], Simplex] = {}
 
     def pair_simplex(a, b):
-        word, a0, b0 = _extract_common(x, y, a, b)
-        return Simplex(word, gen_of_pair[(a0, b0)])
+        s = canonical.get((a, b))
+        if s is None:
+            word, a0, b0 = _extract_common(x, y, a, b)
+            s = canonical[(a, b)] = Simplex(word, gen_of_pair[(a0, b0)])
+        return s
 
-    faces = {}
-    for g, (a, b) in pair_of.items():
-        if g.dim == 0:
-            continue
-        faces[g] = tuple(
-            pair_simplex(x.face(a, i), y.face(b, i)) for i in range(g.dim + 1)
-        )
+    for n in range(x.max_generator_dim + y.max_generator_dim + 1):
+        for a, b in _compatible_pairs(x.simplices(n), y.simplices(n)):
+            g = GenId(n, _pair_name(a, b))
+            pair_of[g] = (a, b)
+            gen_of_pair[(a, b)] = g
+            if n:
+                faces[g] = tuple(map(pair_simplex, x_row(a), y_row(b)))
     if name is None:
         name = f"({x.name or '?'}x{y.name or '?'})"
     return ProductPresentation(
-        x, y, gens, faces, pair_of, x.top_dim + y.top_dim, name
+        x, y, faces, pair_of, gen_of_pair, x.top_dim + y.top_dim, name
     )
 
 
@@ -176,14 +200,8 @@ def count_nondegenerate_top(p: int, q: int) -> int:
     """
     if p < 0 or q < 0:
         raise ValueError("dimensions must be >= 0")
-    x = standard_simplex(p)
-    y = standard_simplex(q)
     n = p + q
-    count = 0
-    ys = y.simplices(n)
-    for a in x.simplices(n):
-        aw = set(a.word)
-        for b in ys:
-            if not aw & set(b.word):
-                count += 1
-    return count
+    pairs = _compatible_pairs(
+        standard_simplex(p).simplices(n), standard_simplex(q).simplices(n)
+    )
+    return sum(1 for _ in pairs)

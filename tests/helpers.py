@@ -12,7 +12,8 @@ import random
 from itertools import combinations
 from math import gcd
 
-from ssets import GenId, Presentation, Simplex
+from ssets import GenId, Presentation, Simplex, compact_simplex
+from ssets.core import DDViolation
 
 
 # -- monotone-sequence oracle for standard simplices -------------------------
@@ -64,6 +65,65 @@ def scan_matching(p: Presentation, n: int, pattern) -> tuple[Simplex, ...]:
     )
 
 
+# -- pair-by-pair oracles for the product path ---------------------------------
+
+
+def scan_product(x: Presentation, y: Presentation):
+    """Face table and pair encoding of x times y, pair by pair.
+
+    The reference for ``product``: every (a, b) pair of n-simplices is
+    tested for a shared degeneracy index, and every face pair is rewritten
+    into canonical pair form afresh, with no masks and no memos.  Returns
+    ``(faces, pair_of)``; ``pair_of`` lists the generators in emission order.
+    """
+    pair_of: dict[GenId, tuple[Simplex, Simplex]] = {}
+    gen_of_pair = {}
+    for n in range(x.max_generator_dim + y.max_generator_dim + 1):
+        ys = y.simplices(n)
+        for a in x.simplices(n):
+            for b in ys:
+                if set(a.word) & set(b.word):
+                    continue
+                g = GenId(n, f"({compact_simplex(a)}|{compact_simplex(b)})")
+                pair_of[g] = (a, b)
+                gen_of_pair[(a, b)] = g
+
+    def canonical(a, b):
+        word = []
+        while set(a.word) & set(b.word):
+            j = max(set(a.word) & set(b.word))
+            word.append(j)
+            a, b = x.face(a, j), y.face(b, j)
+        return Simplex(tuple(word), gen_of_pair[(a, b)])
+
+    faces = {
+        g: tuple(canonical(x.face(a, i), y.face(b, i)) for i in range(g.dim + 1))
+        for g, (a, b) in pair_of.items()
+        if g.dim
+    }
+    return faces, pair_of
+
+
+def scan_violations(p: Presentation) -> tuple[DDViolation, ...]:
+    """The d-d identity failures of p, with four ``face`` calls per identity.
+
+    The reference for the violations of ``Presentation.validate`` on a
+    presentation without dangling references.
+    """
+    out = []
+    for g in p.all_generators():
+        if g.dim < 2:
+            continue
+        x = Simplex((), g)
+        for j in range(1, g.dim + 1):
+            for i in range(j):
+                lhs = p.face(p.face(x, j), i)
+                rhs = p.face(p.face(x, i), j - 1)
+                if lhs != rhs:
+                    out.append(DDViolation(g, i, j, lhs, rhs))
+    return tuple(out)
+
+
 # -- random ordered complexes -------------------------------------------------
 
 
@@ -111,19 +171,23 @@ def random_complex(rng: random.Random, max_vertices: int = 7) -> Presentation:
     return Presentation(gens, faces, top, name="random")
 
 
-def swap_faces(p: Presentation, g: GenId, i: int, j: int) -> Presentation:
-    """Copy of a presentation with two face entries of one generator swapped."""
+def with_faces(p: Presentation, changes) -> Presentation:
+    """Copy of a presentation with the face entries ``{(g, i): simplex}`` replaced."""
     faces = {}
     for h in p.all_generators():
-        if h.dim == 0:
-            continue
-        fs = list(p.faces_of(h))
-        if h == g:
-            fs[i], fs[j] = fs[j], fs[i]
-        faces[h] = tuple(fs)
+        if h.dim:
+            faces[h] = tuple(
+                changes.get((h, i), f) for i, f in enumerate(p.faces_of(h))
+            )
     return Presentation(
         p.all_generators(), faces, p.top_dim, delta_style=p.delta_style, name=p.name
     )
+
+
+def swap_faces(p: Presentation, g: GenId, i: int, j: int) -> Presentation:
+    """Copy of a presentation with two face entries of one generator swapped."""
+    fs = p.faces_of(g)
+    return with_faces(p, {(g, i): fs[j], (g, j): fs[i]})
 
 
 def swappable_generators(p: Presentation):

@@ -1,12 +1,13 @@
 """File formats, round-trips, warnings, and the command-line surface."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 import ssets as S
-from ssets import cli
+from ssets import Simplex, cli
 from ssets import io as sio
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -87,6 +88,57 @@ def test_parse_error_carries_line_number():
     with pytest.raises(sio.ParseError) as err:
         sio.loads_presentation("top_dim 2\nnonsense line here\n")
     assert err.value.line == 2
+
+
+# Face expressions are parsed once per distinct text and dimension; these
+# pin what a repeated expression must still do on every line it is on.
+
+REPEATED_NON_CANONICAL = """
+top_dim 4
+generators 0 : v
+generators 3 : c d
+faces c : s0 s0 v ; s1 s0 v ; s1 s0 v ; s1 s0 v
+faces d : s1 s0 v ; s0 s0 v ; s1 s0 v ; s1 s0 v
+"""
+
+
+def test_repeated_non_canonical_word_warns_on_every_line():
+    with pytest.warns(sio.NormalizationWarning) as record:
+        p = sio.loads_presentation(REPEATED_NON_CANONICAL)
+    assert [str(w.message) for w in record] == [
+        "degeneracy word in 's0 s0 v' normalized to 's1 s0 v'"
+    ] * 2
+    assert p.validate().ok
+
+
+def test_repeated_bad_operator_names_its_first_line():
+    doc = "top_dim 2\ngenerators 0 : a b\ngenerators 1 : e f g\n" + (
+        "faces e : b ; a\nfaces f : x1 a ; a\nfaces g : x1 a ; b\n"
+    )
+    with pytest.raises(sio.ParseError, match="^line 5: bad degeneracy operator 'x1'$") as err:
+        sio.loads_presentation(doc)
+    assert err.value.line == 5
+
+
+def test_repeated_unknown_generator_keeps_its_message():
+    doc = "top_dim 2\ngenerators 0 : a\ngenerators 1 : e f\n" + (
+        "faces e : ghost ; a\nfaces f : ghost ; a\n"
+    )
+    with pytest.raises(sio.SemanticError) as err:
+        sio.loads_presentation(doc)
+    assert str(err.value) == (
+        "expression 'ghost' references unknown generator 'ghost' in dimension 0"
+    )
+
+
+def test_same_expression_text_in_two_dimensions():
+    # "a" names a vertex in d_i of the edge and the edge in d_i of t
+    doc = "top_dim 2\ngenerators 0 : a\ngenerators 1 : a\ngenerators 2 : t\n" + (
+        "faces a : a ; a\nfaces t : a ; a ; a\n"
+    )
+    p = sio.loads_presentation(doc)
+    assert p.faces_of(p.generator(1, "a")) == (Simplex((), S.GenId(0, "a")),) * 2
+    assert p.faces_of(p.generator(2, "t")) == (Simplex((), S.GenId(1, "a")),) * 3
 
 
 def test_missing_top_dim_rejected():
@@ -184,6 +236,34 @@ def test_cli_census_product_pipeline(tmp_path, capsys):
     assert code == 0 and ": 16" in out
     code, out, _ = run(capsys, "census", sq, "--dim", 2, "--nondegenerate")
     assert code == 0 and ": 2" in out
+
+
+def test_delta4_squared_product_file_and_its_payloads_are_pinned(tmp_path, capsys):
+    # the 10,271-cell product file, byte for byte as the pair-by-pair
+    # product with uncached face rewriting wrote it
+    data = sio.dumps_presentation(
+        S.product(S.standard_simplex(4), S.standard_simplex(4))
+    ).encode()
+    assert len(data) == 2_075_662
+    assert hashlib.sha256(data).hexdigest() == (
+        "d314e5596e6a42e0538fd91577939887c5ad5cdc5f8f517f71e8e8e9442e413b"
+    )
+    f = tmp_path / "d4xd4.sset"
+    f.write_bytes(data)
+    code, out, err = run(capsys, "--format", "structured", "validate", f)
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "command": "validate",\n  "fatal": [],\n  "valid": true,\n'
+        '  "violations": []\n}\n'
+    )
+    code, out, err = run(
+        capsys, "--format", "structured", "census", f, "--dim", 8, "--nondegenerate"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "command": "census",\n  "count": 70,\n  "dim": 8,\n'
+        '  "kind": "nondegenerate"\n}\n'
+    )
 
 
 def test_cli_pi_prints_cayley_table(capsys):
@@ -336,3 +416,13 @@ faces c : s0 s0 v ; s0 s0 v ; s0 s0 v ; s0 s0 v
     f.write_text(doc)
     code, _, err = run(capsys, "validate", f)
     assert code == 0 and "normalized" in err
+
+
+def test_cli_warns_on_each_line_of_a_repeated_non_canonical_word(tmp_path, capsys):
+    f = tmp_path / "twice.sset"
+    f.write_text(REPEATED_NON_CANONICAL)
+    code, out, err = run(capsys, "validate", f)
+    assert code == 0 and "valid (3 generators)" in out
+    assert err == (
+        "warning: degeneracy word in 's0 s0 v' normalized to 's1 s0 v'\n" * 2
+    )

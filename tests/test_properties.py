@@ -19,10 +19,13 @@ from helpers import (
     oracle_face,
     random_complex,
     scan_matching,
+    scan_product,
+    scan_violations,
     seq_of,
     seq_to_simplex,
     swap_faces,
     swappable_generators,
+    with_faces,
 )
 
 FIXTURES = [
@@ -88,6 +91,76 @@ def test_matching_agrees_with_the_scan_on_random_nerves(data):
     pattern = [p.face(z, i) if keep else None for i, keep in enumerate(fixed)]
     assert p.matching(n, pattern) == scan_matching(p, n, pattern)
     assert z in p.matching(n, pattern)
+
+
+# the pair-by-pair oracle tests every pair of n-simplices, so the two
+# nerves of order 3 and 4 (whose self-products it would take minutes on)
+# stay out
+SMALL_SHIPPED = [path for path in SHIPPED if path.stem not in ("nerve_z3", "nerve_z4")]
+
+
+def assert_product_matches_scan(x, y):
+    prod = S.product(x, y)
+    faces, pair_of = scan_product(x, y)
+    assert list(prod._pair_of.items()) == list(pair_of.items())
+    assert sorted(prod.all_generators()) == sorted(pair_of)
+    assert {g: prod.faces_of(g) for g in pair_of if g.dim} == faces
+    assert all(prod.pair_of(g) == ab for g, ab in pair_of.items())
+    assert all(prod.from_pair(*ab) == Simplex((), g) for g, ab in pair_of.items())
+
+
+@pytest.mark.parametrize("left", SMALL_SHIPPED, ids=lambda path: path.stem)
+def test_product_agrees_with_the_pair_by_pair_scan(left):
+    x = S.load_presentation(left)
+    for right in SMALL_SHIPPED:
+        assert_product_matches_scan(x, S.load_presentation(right))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 3), st.booleans())
+def test_product_of_nerve_and_simplex_agrees_with_the_scan(k, q, nerve_left):
+    x, y = S.nerve(S.cyclic(k), 2), S.standard_simplex(q)
+    if nerve_left:
+        assert_product_matches_scan(x, y)
+    else:
+        assert_product_matches_scan(y, x)
+
+
+def test_validate_reports_the_violations_of_the_four_face_scan():
+    cases = []
+    for path in SHIPPED:
+        p = S.load_presentation(path)
+        for g, pairs in swappable_generators(p)[:3]:
+            cases.append(swap_faces(p, g, *pairs[0]))
+            cases.append(swap_faces(p, g, *pairs[-1]))
+    # a triangle of the 4-simplex is a face of two tetrahedra, so its
+    # swapped faces break the identity on both, through one shared row
+    d4 = S.standard_simplex(4)
+    tri = d4.generator(2, "0.1.2")
+    shared = swap_faces(d4, tri, 0, 2)
+    cases.append(shared)
+    # one degenerate entry written into two generators' face tables
+    d3 = S.standard_simplex(3)
+    bad = Simplex((0,), d3.generator(0, "0"))
+    degenerate = with_faces(
+        d3, {(d3.generator(2, "0.1.3"), 1): bad, (d3.generator(2, "1.2.3"), 0): bad}
+    )
+    cases.append(degenerate)
+    rng = random.Random(7)
+    for _ in range(20):
+        p = random_complex(rng)
+        targets = swappable_generators(p)
+        g, pairs = targets[rng.randrange(len(targets))]
+        cases.append(swap_faces(p, g, *pairs[rng.randrange(len(pairs))]))
+    for p in cases:
+        report = p.validate()
+        assert not report.fatal
+        assert report.violations == scan_violations(p)
+    broken = {v.gen.name for v in shared.validate().violations}
+    assert {"0.1.2", "0.1.2.3", "0.1.2.4"} <= broken
+    broken = {v.gen.name for v in degenerate.validate().violations}
+    assert {"0.1.3", "1.2.3"} <= broken
+    assert all(not p.validate().ok for p in cases)
 
 
 @pytest.mark.parametrize("p", FIXTURES, ids=lambda p: p.name or "fixture")
