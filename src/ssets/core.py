@@ -17,6 +17,10 @@ so the only stored data are the faces of generators.  The mixed and
 degeneracy identities hold by construction of the rewriting; the d-d
 identity is a property of the face table and is what
 ``Presentation.validate`` checks.
+
+``GenId`` and ``Simplex`` are immutable ``tuple`` subclasses whose
+constructors check the normal form; every face row, index and memo is a
+dict keyed on them, so hashing and equality are the built-in tuple ones.
 """
 
 from __future__ import annotations
@@ -48,58 +52,79 @@ class ConsistencyError(SsetError):
     """An internal cross-check failed; indicates corrupt input or a bug."""
 
 
-@dataclass(frozen=True, order=True)
-class GenId:
+class GenId(tuple):
     """A nondegenerate generator, identified by dimension and name.
 
     Names must be unique within a dimension; the same name may appear in
-    different dimensions.
+    different dimensions.  The value is the tuple ``(dim, name)``, so
+    hashing, equality and ordering run on that tuple.  A plain tuple
+    compares equal to it but is not a generator: :class:`Presentation`
+    refuses one wherever a generator is required.
     """
 
-    dim: int
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError(f"generator dimension must be >= 0, got {self.dim}")
-        if not isinstance(self.name, str) or not self.name:
+    def __new__(cls, dim: int, name: str):
+        if dim < 0:
+            raise ValueError(f"generator dimension must be >= 0, got {dim}")
+        if not isinstance(name, str) or not name:
             raise ValueError("generator name must be a nonempty string")
+        return tuple.__new__(cls, (dim, name))
+
+    dim = property(itemgetter(0))
+    name = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"GenId(dim={self.dim!r}, name={self.name!r})"
 
     def __str__(self):
         return f"{self.name}:{self.dim}"
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(tuple):
     """Normal form of a simplex: a degeneracy word over a generator.
 
     ``word`` lists degeneracy indices outermost first and is strictly
     decreasing, so ``Simplex((2, 0), g)`` denotes s_2 s_0 g, and the
-    empty word denotes the generator itself.  Uniqueness of this normal
-    form makes simplex equality plain tuple comparison.
+    empty word denotes the generator itself.  The value is the tuple
+    ``(word, gen)``; uniqueness of the normal form makes simplex equality
+    literally that tuple's comparison.  The tuple's natural order is not
+    the enumeration order: sort with :func:`simplex_key`.
     """
 
-    word: tuple[int, ...]
-    gen: GenId
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = self.word
-        for a, b in zip(w, w[1:]):
-            if a <= b:
-                raise ValueError(f"degeneracy word {w} is not strictly decreasing")
-        if w:
-            if w[-1] < 0:
-                raise ValueError(f"negative degeneracy index in {w}")
-            if w[0] > self.gen.dim + len(w) - 1:
-                raise ValueError(f"degeneracy word {w} out of range over {self.gen}")
+    def __new__(cls, word: tuple[int, ...], gen: GenId):
+        if word:
+            for a, b in zip(word, word[1:]):
+                if a <= b:
+                    raise ValueError(f"degeneracy word {word} is not strictly decreasing")
+            if word[-1] < 0:
+                raise ValueError(f"negative degeneracy index in {word}")
+            if word[0] > gen.dim + len(word) - 1:
+                raise ValueError(f"degeneracy word {word} out of range over {gen}")
+        return tuple.__new__(cls, (word, gen))
+
+    word = property(itemgetter(0))
+    gen = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def dim(self) -> int:
-        return self.gen.dim + len(self.word)
+        word, gen = self
+        return gen.dim + len(word)
 
     @property
     def is_degenerate(self) -> bool:
         return bool(self.word)
+
+    def __repr__(self):
+        return f"Simplex(word={self.word!r}, gen={self.gen!r})"
 
     def __str__(self):
         return format_simplex(self)
@@ -128,13 +153,15 @@ def degenerate(x: Simplex, i: int) -> Simplex:
     The word is re-sorted by a single insertion pass using
     s_i s_j = s_{j+1} s_i for i <= j.
     """
-    if not 0 <= i <= x.dim:
-        raise ValueError(f"s_{i} is undefined on a {x.dim}-simplex")
+    word, gen = x
+    n = gen.dim + len(word)
+    if not 0 <= i <= n:
+        raise ValueError(f"s_{i} is undefined on a {n}-simplex")
     head = []
-    rest = list(x.word)
+    rest = list(word)
     while rest and i <= rest[0]:
         head.append(rest.pop(0) + 1)
-    return Simplex((*head, i, *rest), x.gen)
+    return Simplex((*head, i, *rest), gen)
 
 
 def apply_word(base: Simplex, ops: Sequence[int]) -> Simplex:
@@ -222,6 +249,8 @@ class Presentation:
         by_dim: dict[int, list[GenId]] = {}
         seen: set[GenId] = set()
         for g in generators:
+            if not isinstance(g, GenId):
+                raise StructureError(f"generator {g!r} is not a GenId")
             if g in seen:
                 raise StructureError(f"duplicate generator {g}")
             seen.add(g)
@@ -244,21 +273,23 @@ class Presentation:
 
         table: dict[GenId, tuple[Simplex, ...]] = {}
         for g, fs in faces.items():
+            if not isinstance(g, GenId):
+                raise StructureError(f"face table key {g!r} is not a GenId")
             if g not in self._gens:
                 raise StructureError(f"face table entry for unknown generator {g}")
-            if g.dim == 0:
+            n = g.dim
+            if n == 0:
                 raise StructureError(f"vertex {g} cannot carry face entries")
             fs = tuple(fs)
-            if len(fs) != g.dim + 1:
-                raise StructureError(
-                    f"{g} needs {g.dim + 1} face entries, got {len(fs)}"
-                )
+            if len(fs) != n + 1:
+                raise StructureError(f"{g} needs {n + 1} face entries, got {len(fs)}")
             for i, f in enumerate(fs):
                 if not isinstance(f, Simplex):
                     raise StructureError(f"face d_{i} of {g} is not a simplex")
-                if f.dim != g.dim - 1:
+                word, gen = f
+                if gen.dim + len(word) != n - 1:
                     raise StructureError(
-                        f"face d_{i} of {g} has dimension {f.dim}, expected {g.dim - 1}"
+                        f"face d_{i} of {g} has dimension {f.dim}, expected {n - 1}"
                     )
             table[g] = fs
         for g in self._gens:
@@ -285,7 +316,8 @@ class Presentation:
         )
 
     def has_generator(self, g: GenId) -> bool:
-        return g in self._gens
+        """Whether g is a generator; a plain (dim, name) tuple never is."""
+        return isinstance(g, GenId) and g in self._gens
 
     def generator(self, dim: int, name: str) -> GenId:
         g = GenId(dim, name)
@@ -294,6 +326,8 @@ class Presentation:
         return g
 
     def faces_of(self, g: GenId) -> tuple[Simplex, ...]:
+        if not isinstance(g, GenId):
+            raise StructureError(f"unknown generator {g}")
         if g.dim == 0:
             return ()
         try:
@@ -305,7 +339,7 @@ class Presentation:
 
     def degeneracy(self, x: Simplex, i: int) -> Simplex:
         """Return s_i x in canonical form."""
-        if x.gen not in self._gens:
+        if not self.has_generator(x.gen):
             raise StructureError(f"simplex over unknown generator {x.gen}")
         return degenerate(x, i)
 
@@ -316,28 +350,30 @@ class Presentation:
         identities; if it survives to the generator, the stored face is
         substituted and the collected outer word is re-applied.
         """
-        if x.gen not in self._gens:
-            raise StructureError(f"simplex over unknown generator {x.gen}")
-        if x.dim < 1:
+        word, gen = x
+        if not self.has_generator(gen):
+            raise StructureError(f"simplex over unknown generator {gen}")
+        n = gen.dim + len(word)
+        if n < 1:
             raise ValueError("a 0-simplex has no faces")
-        if not 0 <= i <= x.dim:
-            raise ValueError(f"d_{i} is undefined on a {x.dim}-simplex")
+        if not 0 <= i <= n:
+            raise ValueError(f"d_{i} is undefined on a {n}-simplex")
         outer: list[int] = []
-        rest = list(x.word)
+        rest = list(word)
         while rest:
             w = rest.pop(0)
             if i < w:
                 outer.append(w - 1)
             elif i == w or i == w + 1:
-                return Simplex((*outer, *rest), x.gen)
+                return Simplex((*outer, *rest), gen)
             else:
                 outer.append(w)
                 i -= 1
-        if x.gen.dim == 0:
-            raise ConsistencyError(f"face operator survived to the vertex {x.gen}")
-        result = self._faces.get(x.gen)
+        if gen.dim == 0:
+            raise ConsistencyError(f"face operator survived to the vertex {gen}")
+        result = self._faces.get(gen)
         if result is None:
-            raise StructureError(f"unknown generator {x.gen}")
+            raise StructureError(f"unknown generator {gen}")
         out = result[i]
         for w in reversed(outer):
             out = degenerate(out, w)

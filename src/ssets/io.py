@@ -106,9 +106,13 @@ def parse_face_expression(
     ops = []
     for tok in tokens[:-1]:
         m = _DEGEN_RE.match(tok)
-        if not m:
-            raise ParseError(f"bad degeneracy operator {tok!r}", line)
-        ops.append(int(m.group(1)))
+        if m:
+            try:
+                ops.append(int(m.group(1)))
+                continue
+            except ValueError:  # more digits than int() converts
+                pass
+        raise ParseError(f"bad degeneracy operator {tok!r}", line)
     base_dim = dim - len(ops)
     if base_dim < 0:
         raise SemanticError(
@@ -242,6 +246,7 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
 
 
 def dumps_presentation(p: Presentation) -> str:
+    """The canonical document for p; each distinct face is formatted once."""
     for g in p.all_generators():
         if not _NAME_RE.match(g.name) or _DEGEN_RE.match(g.name):
             raise SemanticError(
@@ -256,9 +261,17 @@ def dumps_presentation(p: Presentation) -> str:
         gens = p.generators_at(d)
         if gens:
             lines.append(f"generators {d} : " + " ".join(g.name for g in gens))
+    texts: dict[Simplex, str] = {}
+
+    def text(f):
+        t = texts.get(f)
+        if t is None:
+            t = texts[f] = format_simplex(f)
+        return t
+
     for g in p.all_generators():
         if g.dim >= 1:
-            exprs = " ; ".join(format_simplex(f) for f in p.faces_of(g))
+            exprs = " ; ".join(map(text, p.faces_of(g)))
             lines.append(f"faces {g.name} : {exprs}")
     return "\n".join(lines) + "\n"
 

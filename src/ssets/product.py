@@ -37,10 +37,9 @@ class ProductPresentation(Presentation):
         self._gen_of_pair = gen_of_pair
 
     def pair_of(self, g: GenId) -> tuple[Simplex, Simplex]:
-        try:
-            return self._pair_of[g]
-        except KeyError:
-            raise StructureError(f"{g} is not a generator of this product") from None
+        if not self.has_generator(g):
+            raise StructureError(f"{g} is not a generator of this product")
+        return self._pair_of[g]
 
     def to_pair(self, x: Simplex) -> tuple[Simplex, Simplex]:
         """Components of an arbitrary simplex of the product."""

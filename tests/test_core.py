@@ -1,5 +1,8 @@
 """Normal forms, the rewriting engine, enumeration, and validation."""
 
+import copy
+import pickle
+
 import pytest
 
 import ssets as S
@@ -227,3 +230,119 @@ def test_presentation_structural_errors():
         S.Presentation([v], {}, top_dim=-1)
     with pytest.raises(S.StructureError):
         S.Presentation([v, v], {})
+
+
+# -- the value types ------------------------------------------------------------
+
+
+VALUES = [
+    GenId(0, "v"),
+    GenId(2, "abc"),
+    Simplex((), GenId(0, "v")),
+    Simplex((1, 0), GenId(2, "abc")),
+    Simplex((3, 1), GenId(2, "0.1.2")),
+]
+
+
+@pytest.mark.parametrize("x", VALUES, ids=repr)
+def test_value_types_pickle_and_copy(x):
+    for y in (
+        pickle.loads(pickle.dumps(x)),
+        pickle.loads(pickle.dumps(x, protocol=2)),
+        copy.copy(x),
+        copy.deepcopy(x),
+    ):
+        assert y == x and type(y) is type(x) and hash(y) == hash(x)
+        assert repr(y) == repr(x)
+
+
+def test_value_types_are_immutable():
+    g = GenId(2, "abc")
+    x = Simplex((1, 0), g)
+    for obj, field, value in (
+        (x, "word", ()),
+        (x, "gen", GenId(0, "v")),
+        (g, "dim", 3),
+        (g, "name", "b"),
+        (x, "extra", 1),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, value)
+    assert x == Simplex((1, 0), GenId(2, "abc"))
+
+
+def test_value_type_text_is_unchanged():
+    g = GenId(2, "abc")
+    x = Simplex((1, 0), g)
+    assert repr(g) == "GenId(dim=2, name='abc')"
+    assert repr(x) == "Simplex(word=(1, 0), gen=GenId(dim=2, name='abc'))"
+    assert repr(Simplex((), g)) == "Simplex(word=(), gen=GenId(dim=2, name='abc'))"
+    assert str(g) == "abc:2" and f"{g}" == "abc:2"
+    assert str(x) == "s1 s0 abc" and f"{x}" == "s1 s0 abc"
+    assert (x.dim, x.is_degenerate, x.word, x.gen) == (4, True, (1, 0), g)
+    assert (g.dim, g.name) == (2, "abc")
+    assert GenId(dim=1, name="e") == GenId(1, "e")
+    assert Simplex(word=(0,), gen=g) == Simplex((0,), g)
+
+
+@pytest.mark.parametrize("x", VALUES, ids=repr)
+def test_value_type_hashes_are_the_field_tuple_hashes(x):
+    fields = (x.word, x.gen) if isinstance(x, Simplex) else (x.dim, x.name)
+    assert hash(x) == hash(fields)
+
+
+def test_value_type_error_messages_are_unchanged():
+    g = GenId(0, "v")
+    for word, message in (
+        ((0, 0), "degeneracy word (0, 0) is not strictly decreasing"),
+        ((0, 1), "degeneracy word (0, 1) is not strictly decreasing"),
+        ((0, -1), "negative degeneracy index in (0, -1)"),
+        ((2, 0), "degeneracy word (2, 0) out of range over v:0"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Simplex(word, g)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        GenId(-1, "v")
+    assert str(info.value) == "generator dimension must be >= 0, got -1"
+    for name in ("", 7, None):
+        with pytest.raises(ValueError) as info:
+            GenId(1, name)
+        assert str(info.value) == "generator name must be a nonempty string"
+
+
+def test_generator_ordering_is_by_dimension_then_name():
+    gens = [GenId(1, "b"), GenId(0, "z"), GenId(1, "a"), GenId(0, "a")]
+    assert sorted(gens) == [GenId(0, "a"), GenId(0, "z"), GenId(1, "a"), GenId(1, "b")]
+
+
+def test_plain_tuples_are_not_generators(delta1):
+    # a plain (dim, name) tuple compares equal to a GenId, but no lookup
+    # may take it for one
+    edge = (1, "0.1")
+    assert edge == delta1.generator(1, "0.1")
+    assert not delta1.has_generator(edge)
+    assert delta1.has_generator(GenId(*edge))
+    with pytest.raises(S.StructureError):
+        delta1.faces_of(edge)
+    for op in (delta1.face, delta1.degeneracy):
+        with pytest.raises(S.StructureError):
+            op(Simplex((), edge), 0)
+    v, e = GenId(0, "v"), GenId(1, "e")
+    faces = {e: (Simplex((), v), Simplex((), v))}
+    with pytest.raises(S.StructureError, match="is not a GenId"):
+        S.Presentation([v, (1, "e")], faces)
+    with pytest.raises(S.StructureError, match="is not a GenId"):
+        S.Presentation([v, e], {(1, "e"): faces[e]})
+    sq = S.product(delta1, delta1)
+    g = sq.generators_at(2)[0]
+    assert sq.pair_of(g)
+    with pytest.raises(S.StructureError):
+        sq.pair_of(tuple(g))
+
+
+def test_simplex_tuple_order_is_not_the_enumeration_order():
+    p = S.standard_simplex(2)
+    listed = p.simplices(2)
+    assert sorted(listed, key=S.simplex_key) == list(listed)
+    assert sorted(listed) != list(listed)

@@ -426,3 +426,12 @@ def test_cli_warns_on_each_line_of_a_repeated_non_canonical_word(tmp_path, capsy
     assert err == (
         "warning: degeneracy word in 's0 s0 v' normalized to 's1 s0 v'\n" * 2
     )
+
+
+def test_operator_with_more_digits_than_int_converts_is_a_parse_error():
+    text = (
+        "top_dim 1\ngenerators 0 : v\ngenerators 1 : e\n"
+        f"faces e : s{'9' * 5000} v ; v\n"
+    )
+    with pytest.raises(sio.ParseError, match="line 4: bad degeneracy operator"):
+        sio.loads_presentation(text)
