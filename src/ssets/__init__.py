@@ -112,6 +112,9 @@ from .io import (
     save_presentation,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# the public names, without the submodules that importing them bound here
+__all__ = [n for n in dir() if n[0] != "_" and not isinstance(globals()[n], _ModuleType)]
 
 __version__ = "0.1.0"

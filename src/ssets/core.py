@@ -21,12 +21,17 @@ identity is a property of the face table and is what
 ``GenId`` and ``Simplex`` are immutable ``tuple`` subclasses whose
 constructors check the normal form; every face row, index and memo is a
 dict keyed on them, so hashing and equality are the built-in tuple ones.
+
+Results and reports (``HornSpec``, ``PiGroup``, ...) are :class:`Record`
+subclasses with annotated fields: built by position or keyword, checked
+by ``__post_init__``, equal only within their class, hashed as their
+field tuple, printed as ``Name(field=value, ...)``, immutable, and
+picklable and copyable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -181,8 +186,62 @@ def vertex_simplex(v: GenId, n: int) -> Simplex:
     return Simplex(tuple(range(n - 1, -1, -1)), v)
 
 
-@dataclass(frozen=True)
-class DDViolation:
+class Record:
+    """Base of the immutable result types (see the module docstring).
+
+    The fields are the annotated names in class order, after the bases'
+    fields.  Pickling and copying restore them without running
+    ``__post_init__`` again.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = (*cls._fields, *cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = dict(zip(fields, args))
+            extra = [k for k in kwargs if k in values or k not in fields]
+            values.update(kwargs)
+            missing = [f for f in fields if f not in values]
+            if len(args) > len(fields) or extra or missing:
+                raise TypeError(
+                    f"{type(self).__name__}({', '.join(fields)}): "
+                    f"{len(args)} positional, extra {extra}, missing {missing}"
+                )
+            args = [values[f] for f in fields]
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields; a subclass raises here to refuse a value."""
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DDViolation(Record):
     """One failure of d_i d_j = d_{j-1} d_i on a generator."""
 
     gen: GenId
@@ -198,8 +257,7 @@ class DDViolation:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     fatal: tuple[str, ...]
     violations: tuple[DDViolation, ...]
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
+from .core import Record
 
-@dataclass(frozen=True)
-class GroupTable:
+
+class GroupTable(Record):
     """A finite group given by its multiplication table.
 
     ``table[i][j]`` is the index of ``elements[i] * elements[j]``.  The

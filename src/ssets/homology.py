@@ -16,16 +16,13 @@ either phase cannot overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import ConsistencyError, Presentation, Simplex, TruncationError
+from .core import ConsistencyError, Presentation, Record, Simplex, TruncationError
 
 Matrix = tuple[tuple[int, ...], ...]
 Column = dict[int, int]
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Record):
     """Bases and sparse boundary maps for dimensions 0..N.
 
     ``boundaries[n]`` maps dimension n to n-1: one sparse column per
@@ -127,8 +124,7 @@ def unnormalized_complex(p: Presentation, max_dim: int) -> ChainComplex:
     return ChainComplex(bases, tuple(boundaries))
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """Invariant factors (positive, each dividing the next) and the rank."""
 
     factors: tuple[int, ...]
@@ -257,8 +253,7 @@ def sparse_smith_normal_form(columns) -> SNFResult:
     return SNFResult((1,) * pivots + residual.factors, pivots + residual.rank)
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(Record):
     """A finitely generated abelian group: free rank plus invariant factors."""
 
     betti: int

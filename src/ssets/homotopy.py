@@ -17,7 +17,6 @@ cross-checked against the resulting multiplication table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import (
@@ -25,6 +24,7 @@ from .core import (
     GenId,
     NotKanError,
     Presentation,
+    Record,
     Simplex,
     StructureError,
     TruncationError,
@@ -37,8 +37,7 @@ from .morphism import SimplicialMap, apply_map, compose
 from .product import ProductPresentation, vertex_inclusion
 
 
-@dataclass(frozen=True)
-class BasedPresentation:
+class BasedPresentation(Record):
     """A presentation with a chosen vertex; its degeneracies form the basepoint."""
 
     presentation: Presentation
@@ -57,8 +56,7 @@ class BasedPresentation:
         return x.gen == self.basepoint
 
 
-@dataclass(frozen=True)
-class SubPresentation:
+class SubPresentation(Record):
     """A face-closed set of generators of a parent presentation."""
 
     parent: Presentation
@@ -264,8 +262,7 @@ def simplices_homotopic(p: Presentation, x: Simplex, xp: Simplex) -> bool:
 # -- homotopy groups ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiSet:
+class PiSet(Record):
     """Homotopy classes of spheres at the basepoint, without a product."""
 
     n: int
@@ -289,7 +286,6 @@ class PiSet:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
 class PiGroup(PiSet):
     """Homotopy classes with the horn-filling product as a Cayley table."""
 
@@ -443,8 +439,7 @@ def _verify_horn_inverses(based, n, reps, classes, class_of, table, identity):
 # -- homotopies of maps ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomotopyData:
+class HomotopyData(Record):
     """Chain-level homotopy data: one (p+1)-simplex per level index and p-simplex."""
 
     bound: int
@@ -457,8 +452,7 @@ class HomotopyData:
             raise KeyError(f"missing h_{i} value on {format_simplex(x)}") from None
 
 
-@dataclass(frozen=True)
-class HomotopyViolation:
+class HomotopyViolation(Record):
     rule: str
     p: int
     i: int
@@ -472,8 +466,7 @@ class HomotopyViolation:
         )
 
 
-@dataclass(frozen=True)
-class HomotopyReport:
+class HomotopyReport(Record):
     fatal: tuple[str, ...]
     violations: tuple[HomotopyViolation, ...]
 

@@ -10,12 +10,12 @@ could be a truncation artifact rather than a mathematical fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (
     GenId,
     Presentation,
+    Record,
     Simplex,
     TruncationError,
     format_simplex,
@@ -24,8 +24,7 @@ from .constructions import horn, standard_simplex
 from .morphism import SimplicialMap
 
 
-@dataclass(frozen=True)
-class HornSpec:
+class HornSpec(Record):
     """Faces of an n-simplex, indexed 0..n, with exactly slot k missing."""
 
     n: int
@@ -63,8 +62,7 @@ class HornSpec:
         return f"horn({self.n},{self.k})[{entries}]"
 
 
-@dataclass(frozen=True)
-class KanReport:
+class KanReport(Record):
     """Outcome of an exhaustive horn search up to a dimension bound."""
 
     max_dim: int

@@ -8,12 +8,12 @@ has to check commutation with faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (
     GenId,
     Presentation,
+    Record,
     Simplex,
     StructureError,
     apply_word,
@@ -49,8 +49,7 @@ class SimplicialMap:
         return f"<SimplicialMap{label} on {len(self.assignment)} generators>"
 
 
-@dataclass(frozen=True)
-class FaceMismatch:
+class FaceMismatch(Record):
     """A generator and face index where f(d_i g) != d_i f(g)."""
 
     gen: GenId
@@ -65,8 +64,7 @@ class FaceMismatch:
         )
 
 
-@dataclass(frozen=True)
-class MapReport:
+class MapReport(Record):
     fatal: tuple[str, ...]
     violations: tuple[FaceMismatch, ...]
 

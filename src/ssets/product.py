@@ -10,11 +10,10 @@ common indices, largest first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     GenId,
     Presentation,
+    Record,
     Simplex,
     StructureError,
     apply_word,
@@ -158,8 +157,7 @@ def vertex_inclusion(p: ProductPresentation, v: GenId) -> SimplicialMap:
     return SimplicialMap(p.left, p, assignment, name=f"incl@{v.name}")
 
 
-@dataclass(frozen=True)
-class PrismSimplex:
+class PrismSimplex(Record):
     """One top cell of a prism (simplex x interval).
 
     The pair is (s_k of the top base simplex, the complementary

@@ -10,14 +10,11 @@ Delta object keeps every degenerate simplex as an honest cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import GenId, Presentation, Simplex
+from .core import GenId, Presentation, Record, Simplex
 from .homology import euler_characteristic
 
 
-@dataclass(frozen=True)
-class Attachment:
+class Attachment(Record):
     """One face of one cell, flagged when the realization collapses it."""
 
     index: int
@@ -25,8 +22,7 @@ class Attachment:
     collapsed: bool
 
 
-@dataclass(frozen=True)
-class CWReport:
+class CWReport(Record):
     cells_per_dim: tuple[int, ...]
     euler: int
     attachments: tuple[tuple[GenId, tuple[Attachment, ...]], ...]

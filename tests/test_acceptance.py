@@ -113,7 +113,8 @@ def test_criterion_5_homology():
 
 
 def test_criterion_6_homotopy_groups():
-    for label, table in S.all_group_tables(4):
+    # every group of order <= 6, the nonabelian S3 included
+    for label, table in S.all_group_tables(6):
         p = S.nerve(table, 4)
         based = BasedPresentation(p, p.generator(0, "*"))
         pi = S.pi_n(based, 1)  # verify on: filler independence, table laws,
@@ -126,9 +127,15 @@ def test_criterion_6_homotopy_groups():
 
         images = {cls(g) for g in table.elements}
         assert len(images) == table.order
+        # the class product reverses the multiplication (the orientation
+        # test in test_homotopy.py pins it), so g -> [g^-1] is the
+        # isomorphism onto G (on an abelian group g -> [g] is one too)
+        def phi(g):
+            return cls(table.inverse(g))
+
         for a in table.elements:
             for b in table.elements:
-                assert pi.product(cls(a), cls(b)) == cls(table.mul(a, b)), label
+                assert pi.product(phi(a), phi(b)) == phi(table.mul(a, b)), label
         # identity law through the explicit degeneracy witnesses
         for g in table.elements:
             x = (
