@@ -93,6 +93,8 @@ def _cmd_validate(args):
 
 def _cmd_census(args):
     p = _load(args.file)
+    if args.dim < 0:
+        raise ValueError("dimension must be >= 0")
     if args.nondegenerate:
         count = len(p.generators_at(args.dim))
         kind = "nondegenerate"

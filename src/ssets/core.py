@@ -13,9 +13,10 @@ identities
     d_i s_j = s_j d_{i-1}         (i > j + 1)
     s_i s_j = s_{j+1} s_i         (i <= j)
 
-so the only stored data are the faces of generators.  The mixed and
-degeneracy identities hold by construction of the rewriting; the d-d
-identity is a property of the face table and is what
+so the only stored data are the faces of generators: a generator's face
+row is read from the table, never rewritten (``Presentation.face_row``).
+The mixed and degeneracy identities hold by construction of the
+rewriting; the d-d identity is a property of the face table and is what
 ``Presentation.validate`` checks.
 
 ``GenId`` and ``Simplex`` are immutable ``tuple`` subclasses whose
@@ -278,7 +279,7 @@ def face_rows(p: Presentation):
     def row(x: Simplex) -> tuple[Simplex, ...]:
         r = rows.get(x)
         if r is None:
-            r = rows[x] = tuple(p.face(x, i) for i in range(x.dim + 1))
+            r = rows[x] = p.face_row(x)
         return r
 
     return row
@@ -342,17 +343,20 @@ class Presentation:
             if len(fs) != n + 1:
                 raise StructureError(f"{g} needs {n + 1} face entries, got {len(fs)}")
             for i, f in enumerate(fs):
+                # the usual case, read off the tuple without the dim property
+                if f.__class__ is Simplex and f[1].dim + len(f[0]) == n - 1:
+                    continue
                 if not isinstance(f, Simplex):
                     raise StructureError(f"face d_{i} of {g} is not a simplex")
-                word, gen = f
-                if gen.dim + len(word) != n - 1:
+                if f.dim != n - 1:
                     raise StructureError(
                         f"face d_{i} of {g} has dimension {f.dim}, expected {n - 1}"
                     )
             table[g] = fs
-        for g in self._gens:
-            if g.dim >= 1 and g not in table:
-                raise StructureError(f"missing face entries for {g}")
+        if len(table) < len(seen) - len(by_dim.get(0, ())):
+            for g in self._gens:
+                if g.dim >= 1 and g not in table:
+                    raise StructureError(f"missing face entries for {g}")
         self._faces = table
         self._simplices_cache: dict[int, tuple[Simplex, ...]] = {}
         self._face_rows_cache: dict[int, tuple[tuple[Simplex, ...], ...]] = {}
@@ -437,6 +441,40 @@ class Presentation:
             out = degenerate(out, w)
         return out
 
+    def face_row(self, x: Simplex) -> tuple[Simplex, ...]:
+        """Return (d_0 x, ..., d_n x), raising as :meth:`face` does.
+
+        A generator's row is its stored face tuple, read without rewriting.
+        For x = s_W g, d_i x drops the operator i or i-1 from W if W has
+        one, and is otherwise s_W d_t g with t = i - #{w in W : w < i};
+        either way the operators above i shift down by one.
+        """
+        word, gen = x
+        if not self.has_generator(gen):
+            raise StructureError(f"simplex over unknown generator {gen}")
+        if gen.dim + len(word) < 1:
+            raise ValueError("a 0-simplex has no faces")
+        stored = self._faces.get(gen, ())
+        if not word:
+            return stored
+        row = []
+        below = 0  # operators of the word below i
+        for i in range(gen.dim + len(word) + 1):
+            if i in word or i - 1 in word:
+                hit = i if i in word else i - 1
+                below += hit == i
+                f = Simplex(tuple([w - (w > i) for w in word if w != hit]), gen)
+            else:
+                shifted = tuple([w - (w > i) for w in word])
+                f = stored[i - below]
+                if f.word:
+                    for w in reversed(shifted):
+                        f = degenerate(f, w)
+                else:
+                    f = Simplex(shifted, f.gen)
+            row.append(f)
+        return tuple(row)
+
     # -- enumeration -----------------------------------------------------
 
     def simplices(self, n: int) -> tuple[Simplex, ...]:
@@ -486,10 +524,7 @@ class Presentation:
         if index is None:
             rows = self._face_rows_cache.get(n)
             if rows is None:
-                rows = tuple(
-                    tuple(self.face(z, i) for i in range(n + 1))
-                    for z in self.simplices(n)
-                )
+                rows = tuple(map(self.face_row, self.simplices(n)))
                 self._face_rows_cache[n] = rows
             groups: dict = {}
             for z, row in zip(self.simplices(n), rows):

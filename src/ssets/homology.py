@@ -100,8 +100,7 @@ def normalized_complex(p: Presentation, max_dim: int) -> ChainComplex:
         row_of = {g: r for r, g in enumerate(bases[n - 1])}
         columns = []
         for g in bases[n]:
-            x = Simplex((), g)
-            faces = (p.face(x, i) for i in range(n + 1))
+            faces = p.face_row(Simplex((), g))
             columns.append(_column(None if f.is_degenerate else row_of[f.gen] for f in faces))
         boundaries.append(tuple(columns))
     return ChainComplex(bases, tuple(boundaries))
@@ -119,7 +118,7 @@ def unnormalized_complex(p: Presentation, max_dim: int) -> ChainComplex:
     for n in range(1, max_dim + 1):
         row_of = {s: r for r, s in enumerate(bases[n - 1])}
         boundaries.append(
-            tuple(_column(row_of[p.face(x, i)] for i in range(n + 1)) for x in bases[n])
+            tuple(_column(row_of[f] for f in p.face_row(x)) for x in bases[n])
         )
     return ChainComplex(bases, tuple(boundaries))
 

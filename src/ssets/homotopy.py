@@ -174,7 +174,7 @@ def _witness(p: Presentation, x: Simplex, xp: Simplex, r: int) -> Simplex | None
         raise TruncationError(
             f"witness search in dimension {n + 1} exceeds top_dim {p.top_dim}"
         )
-    if n and any(p.face(x, i) != p.face(xp, i) for i in range(n + 1)):
+    if n and p.face_row(x) != p.face_row(xp):
         return None
     found = p.matching(n + 1, _witness_pattern(p, x, xp, r))
     return found[0] if found else None
@@ -182,8 +182,7 @@ def _witness(p: Presentation, x: Simplex, xp: Simplex, r: int) -> Simplex | None
 
 def _witness_pattern(p: Presentation, x: Simplex, xp: Simplex, r: int) -> list:
     """The faces of a witness from x to xp: those of s_r x, with xp on face r+1."""
-    sx = degenerate(x, r)
-    faces = [p.face(sx, i) for i in range(x.dim + 2)]
+    faces = list(p.face_row(degenerate(x, r)))
     faces[r + 1] = xp
     return faces
 
@@ -249,9 +248,9 @@ def simplices_homotopic(p: Presentation, x: Simplex, xp: Simplex) -> bool:
         raise ValueError("simplices must have equal dimension")
     if x == xp:
         return True
-    if n and any(p.face(x, i) != p.face(xp, i) for i in range(n + 1)):
+    bd = p.face_row(x) if n else (None,)
+    if n and bd != p.face_row(xp):
         return False
-    bd = [p.face(x, i) for i in range(n + 1)] if n else [None]
     fiber = p.matching(n, bd)
     partition, _ = _partition(p, fiber, lambda a, b: homotopy_witness(p, a, b))
     ix = fiber.index(x)
@@ -625,9 +624,9 @@ def rel_homotopy_witness(
         raise TruncationError(
             f"witness search in dimension {n + 1} exceeds top_dim {p.top_dim}"
         )
-    if any(p.face(x, i) != p.face(xp, i) for i in range(1, n + 1)):
+    (d0x, *rest), (d0xp, *rest_p) = p.face_row(x), p.face_row(xp)
+    if rest != rest_p:
         return None
-    d0x, d0xp = p.face(x, 0), p.face(xp, 0)
     if not (a_sub.contains(d0x) and a_sub.contains(d0xp)):
         return None
     pattern = _witness_pattern(p, x, xp, n)
@@ -636,9 +635,7 @@ def rel_homotopy_witness(
     y_faces = _witness_pattern(p, d0x, d0xp, n - 1)
     for w in p.matching(n + 1, pattern):
         y = p.face(w, 0)
-        if a_sub.contains(y) and all(
-            p.face(y, i) == f for i, f in enumerate(y_faces)
-        ):
+        if a_sub.contains(y) and list(p.face_row(y)) == y_faces:
             return w, y
     return None
 

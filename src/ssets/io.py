@@ -71,16 +71,16 @@ class NormalizationWarning(UserWarning):
 
 _NAME_RE = re.compile(r"[^\s;:#]+$")
 _DEGEN_RE = re.compile(r"s(\d+)$")
+# _NAME_RE and not _DEGEN_RE, in one match
+_VALID_NAME_RE = re.compile(r"(?!s\d+$)[^\s;:#]+$")
 
 
 def _check_name(name: str, line: int) -> str:
+    if _VALID_NAME_RE.match(name):
+        return name
     if not _NAME_RE.match(name):
         raise ParseError(f"invalid name {name!r}", line)
-    if _DEGEN_RE.match(name):
-        raise ParseError(
-            f"name {name!r} collides with degeneracy-operator syntax", line
-        )
-    return name
+    raise ParseError(f"name {name!r} collides with degeneracy-operator syntax", line)
 
 
 def _logical_lines(text: str):
@@ -147,7 +147,17 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
     for lineno, line in _logical_lines(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "name":
+        if head == "faces":  # the most common line first
+            gen_name, sep, exprs = rest.partition(":")
+            if not sep:
+                raise ParseError("faces line needs a ':'", lineno)
+            gen_name = gen_name.strip()
+            _check_name(gen_name, lineno)
+            entries = list(map(str.strip, exprs.split(";")))
+            if "" in entries:
+                raise ParseError("empty face expression", lineno)
+            face_lines.append((lineno, gen_name, entries))
+        elif head == "name":
             doc_name = rest or doc_name
         elif head == "style":
             if rest not in ("simplicial", "delta"):
@@ -172,16 +182,6 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
             for n in names.split():
                 _check_name(n, lineno)
                 bucket.append(n)
-        elif head == "faces":
-            gen_name, sep, exprs = rest.partition(":")
-            if not sep:
-                raise ParseError("faces line needs a ':'", lineno)
-            gen_name = gen_name.strip()
-            _check_name(gen_name, lineno)
-            entries = [e.strip() for e in exprs.split(";")]
-            if any(not e for e in entries):
-                raise ParseError("empty face expression", lineno)
-            face_lines.append((lineno, gen_name, entries))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if top_dim is None:
@@ -203,18 +203,22 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
     for g in gens:
         all_names.setdefault(g.name, []).append(g)
 
-    # Each distinct expression is parsed once per document.  Only those
-    # already canonical are remembered, so a word that is normalized warns
-    # again on every line it appears on, and an error is raised by its
-    # first occurrence.
-    parsed: dict[tuple[str, int], Simplex] = {}
+    # One text -> Simplex memo per dimension.  A bare generator name is one
+    # by_key lookup (names hold no whitespace); anything else is parsed,
+    # and remembered only if canonical, so a normalized word warns again on
+    # every line it appears on, and an error is raised by its first use.
+    memos: dict[int, dict[str, Simplex]] = {}
 
-    def parse(text, dim, lineno):
-        simplex = parsed.get((text, dim))
+    def resolve(text, dim, memo, lineno):
+        simplex = memo.get(text)
         if simplex is None:
-            simplex = parse_face_expression(text, dim, lookup, lineno)
-            if format_simplex(simplex) == text:
-                parsed[(text, dim)] = simplex
+            g = by_key.get((dim, text))
+            if g is not None:
+                simplex = memo[text] = Simplex((), g)
+            else:
+                simplex = parse_face_expression(text, dim, lookup, lineno)
+                if format_simplex(simplex) == text:
+                    memo[text] = simplex
         return simplex
 
     faces: dict[GenId, tuple[Simplex, ...]] = {}
@@ -236,7 +240,10 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
             raise SemanticError(
                 f"generator {gen_name!r} needs {g.dim + 1} faces, got {len(entries)}"
             )
-        faces[g] = tuple(parse(e, g.dim - 1, lineno) for e in entries)
+        memo = memos.setdefault(g.dim - 1, {})
+        faces[g] = row = tuple(map(memo.get, entries))
+        if None in row:
+            faces[g] = tuple(resolve(e, g.dim - 1, memo, lineno) for e in entries)
     for g in gens:
         if g.dim >= 1 and g not in faces:
             raise SemanticError(f"generator {g.name!r} has no face entries")
@@ -248,7 +255,7 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
 def dumps_presentation(p: Presentation) -> str:
     """The canonical document for p; each distinct face is formatted once."""
     for g in p.all_generators():
-        if not _NAME_RE.match(g.name) or _DEGEN_RE.match(g.name):
+        if not _VALID_NAME_RE.match(g.name):
             raise SemanticError(
                 f"generator name {g.name!r} cannot be written in the file grammar"
             )

@@ -103,10 +103,10 @@ def validate_map(f: SimplicialMap) -> MapReport:
     for g in f.source.all_generators():
         if g.dim == 0:
             continue
-        x = Simplex((), g)
-        for i in range(g.dim + 1):
-            lhs = apply_map(f, f.source.face(x, i))
-            rhs = f.target.face(f.assignment[g], i)
+        source_row = f.source.face_row(Simplex((), g))
+        target_row = f.target.face_row(f.assignment[g])
+        for i, (face, rhs) in enumerate(zip(source_row, target_row)):
+            lhs = apply_map(f, face)
             if lhs != rhs:
                 violations.append(FaceMismatch(g, i, lhs, rhs))
     return MapReport((), tuple(violations))

@@ -219,6 +219,24 @@ def test_face_errors():
         p.face(Simplex((), GenId(1, "elsewhere")), 0)
 
 
+def test_face_row_raises_as_face_does():
+    p = S.standard_simplex(1)
+    edge = GenId(1, "0.1")
+    cases = [
+        Simplex((), p.generator(0, "0")),  # a vertex has no faces
+        Simplex((), (1, "0.1")),  # a plain tuple is not a generator
+        Simplex((), GenId(1, "elsewhere")),  # unknown generator
+        Simplex((0,), GenId(1, "elsewhere")),
+    ]
+    for x in cases:
+        with pytest.raises((ValueError, S.StructureError)) as by_face:
+            p.face(x, 0)
+        with pytest.raises(by_face.type) as by_row:
+            p.face_row(x)
+        assert str(by_row.value) == str(by_face.value)
+    assert p.face_row(Simplex((), edge)) is p.faces_of(edge)
+
+
 def test_presentation_structural_errors():
     v = GenId(0, "v")
     e = GenId(1, "e")

@@ -141,6 +141,57 @@ def test_same_expression_text_in_two_dimensions():
     assert p.faces_of(p.generator(2, "t")) == (Simplex((), S.GenId(1, "a")),) * 3
 
 
+# A face expression that is a generator name of the right dimension is one
+# table lookup; every near miss must still reach the parser and fail there
+# with the same text.
+
+LOOKUP_MISSES = [
+    (  # names a generator, but one of another dimension
+        "top_dim 2\ngenerators 0 : a b\ngenerators 1 : e f\nfaces e : b ; a\nfaces f : e ; a\n",
+        sio.SemanticError,
+        "expression 'e' references unknown generator 'e' in dimension 0",
+    ),
+    (  # a bare operator, which no generator name can be
+        "top_dim 2\ngenerators 0 : a b\ngenerators 1 : e\nfaces e : s0 ; a\n",
+        sio.SemanticError,
+        "expression 's0' references unknown generator 's0' in dimension 0",
+    ),
+    (  # a name defined only as a vertex, used for an edge
+        "top_dim 2\ngenerators 0 : v\ngenerators 1 : e\ngenerators 2 : t\n"
+        "faces e : v ; v\nfaces t : e ; v ; e\n",
+        sio.SemanticError,
+        "expression 'v' references unknown generator 'v' in dimension 1",
+    ),
+    (  # a generator name in operator position
+        "top_dim 2\ngenerators 0 : a b\ngenerators 1 : e f\nfaces e : b ; a\nfaces f : e a ; a\n",
+        sio.ParseError,
+        "line 5: bad degeneracy operator 'e'",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, error, message", LOOKUP_MISSES)
+def test_lookup_misses_keep_the_parser_errors(doc, error, message):
+    with pytest.raises(error) as err:
+        sio.loads_presentation(doc)
+    assert str(err.value) == message
+    if error is sio.ParseError:
+        assert err.value.line == 5
+
+
+def test_non_canonical_word_twice_on_one_line_warns_twice():
+    doc = "top_dim 3\ngenerators 0 : v\ngenerators 3 : d\n" + (
+        "faces d : s0 s0 v ; s0 s0 v ; s1 s0 v ; s1 s0 v\n"
+    )
+    with pytest.warns(sio.NormalizationWarning) as record:
+        p = sio.loads_presentation(doc)
+    assert [str(w.message) for w in record] == [
+        "degeneracy word in 's0 s0 v' normalized to 's1 s0 v'"
+    ] * 2
+    v = p.generator(0, "v")
+    assert p.faces_of(p.generator(3, "d")) == (Simplex((1, 0), v),) * 4
+
+
 def test_missing_top_dim_rejected():
     with pytest.raises(sio.ParseError, match="top_dim"):
         sio.loads_presentation("generators 0 : a\n")
@@ -223,6 +274,13 @@ def test_cli_kan_witness_exit_code(capsys):
 def test_cli_kan_positive(capsys):
     code, out, _ = run(capsys, "kan", FIXTURES / "nerve_z2.sset", "--max-dim", 3)
     assert code == 0 and "Kan at this bound" in out
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "structured"]], ids=["text", "structured"])
+@pytest.mark.parametrize("flags", [[], ["--nondegenerate"]], ids=["total", "nondegenerate"])
+def test_cli_census_refuses_a_negative_dimension(capsys, fmt, flags):
+    code, out, err = run(capsys, *fmt, "census", FIXTURES / "delta2.sset", "--dim", -1, *flags)
+    assert (code, out, err) == (2, "", "error: dimension must be >= 0\n")
 
 
 def test_cli_census_product_pipeline(tmp_path, capsys):

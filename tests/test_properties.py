@@ -93,6 +93,39 @@ def test_matching_agrees_with_the_scan_on_random_nerves(data):
     assert z in p.matching(n, pattern)
 
 
+def face_by_face(p, x):
+    return tuple(p.face(x, i) for i in range(x.dim + 1))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_face_row_agrees_with_face_on_every_shipped_simplex(path):
+    p = S.load_presentation(path)
+    for n in range(1, p.top_dim + 1):
+        for x in p.simplices(n):
+            assert p.face_row(x) == face_by_face(p, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_face_row_agrees_with_face_on_nerves_and_products(data):
+    # simplices above the top generator dimension carry long degeneracy words
+    _, table = data.draw(st.sampled_from(S.all_group_tables(4)))
+    top = data.draw(st.integers(1, 3))
+    build = data.draw(
+        st.sampled_from(
+            [
+                lambda: S.nerve(table, top),
+                lambda: S.product(S.standard_simplex(top - 1), S.nerve(table, 2)),
+                lambda: S.product(S.standard_simplex(1), S.standard_simplex(top)),
+            ]
+        )
+    )
+    p = build()
+    n = data.draw(st.integers(1, p.top_dim + 2))
+    x = data.draw(st.sampled_from(p.simplices(n)))
+    assert p.face_row(x) == face_by_face(p, x)
+
+
 # the pair-by-pair oracle tests every pair of n-simplices, so the two
 # nerves of order 3 and 4 (whose self-products it would take minutes on)
 # stay out
