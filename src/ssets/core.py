@@ -343,20 +343,17 @@ class Presentation:
             if len(fs) != n + 1:
                 raise StructureError(f"{g} needs {n + 1} face entries, got {len(fs)}")
             for i, f in enumerate(fs):
-                # the usual case, read off the tuple without the dim property
-                if f.__class__ is Simplex and f[1].dim + len(f[0]) == n - 1:
-                    continue
                 if not isinstance(f, Simplex):
                     raise StructureError(f"face d_{i} of {g} is not a simplex")
-                if f.dim != n - 1:
+                word, gen = f
+                if gen.dim + len(word) != n - 1:
                     raise StructureError(
                         f"face d_{i} of {g} has dimension {f.dim}, expected {n - 1}"
                     )
             table[g] = fs
-        if len(table) < len(seen) - len(by_dim.get(0, ())):
-            for g in self._gens:
-                if g.dim >= 1 and g not in table:
-                    raise StructureError(f"missing face entries for {g}")
+        for g in self._gens:
+            if g.dim >= 1 and g not in table:
+                raise StructureError(f"missing face entries for {g}")
         self._faces = table
         self._simplices_cache: dict[int, tuple[Simplex, ...]] = {}
         self._face_rows_cache: dict[int, tuple[tuple[Simplex, ...], ...]] = {}
@@ -444,36 +441,17 @@ class Presentation:
     def face_row(self, x: Simplex) -> tuple[Simplex, ...]:
         """Return (d_0 x, ..., d_n x), raising as :meth:`face` does.
 
-        A generator's row is its stored face tuple, read without rewriting.
-        For x = s_W g, d_i x drops the operator i or i-1 from W if W has
-        one, and is otherwise s_W d_t g with t = i - #{w in W : w < i};
-        either way the operators above i shift down by one.
+        A generator's row is its stored face tuple, read without rewriting;
+        a degenerate simplex's row is n+1 :meth:`face` calls.
         """
         word, gen = x
         if not self.has_generator(gen):
             raise StructureError(f"simplex over unknown generator {gen}")
-        if gen.dim + len(word) < 1:
+        if word:
+            return tuple(self.face(x, i) for i in range(gen.dim + len(word) + 1))
+        if gen.dim < 1:
             raise ValueError("a 0-simplex has no faces")
-        stored = self._faces.get(gen, ())
-        if not word:
-            return stored
-        row = []
-        below = 0  # operators of the word below i
-        for i in range(gen.dim + len(word) + 1):
-            if i in word or i - 1 in word:
-                hit = i if i in word else i - 1
-                below += hit == i
-                f = Simplex(tuple([w - (w > i) for w in word if w != hit]), gen)
-            else:
-                shifted = tuple([w - (w > i) for w in word])
-                f = stored[i - below]
-                if f.word:
-                    for w in reversed(shifted):
-                        f = degenerate(f, w)
-                else:
-                    f = Simplex(shifted, f.gen)
-            row.append(f)
-        return tuple(row)
+        return self._faces[gen]
 
     # -- enumeration -----------------------------------------------------
 
@@ -510,9 +488,9 @@ class Presentation:
 
         The answer is in enumeration order.  It is looked up in an index
         keyed on the fixed slots, built on the first query for those
-        slots in dimension n from the face rows of ``simplices(n)``; the
-        rows take one pass of n+1 ``face`` calls per simplex, once per
-        dimension.  A pattern with no fixed slot returns ``simplices(n)``.
+        slots in dimension n from the ``face_row`` of each simplex in
+        ``simplices(n)``; the rows are built once per dimension.  A
+        pattern with no fixed slot returns ``simplices(n)``.
         """
         if len(pattern) != n + 1:
             raise ValueError(f"a pattern on {n}-simplices has {n + 1} slots")
