@@ -32,6 +32,7 @@ from .core import (
     format_simplex,
     vertex_simplex,
 )
+from .groups import GroupTable
 from .kan import HornSpec, fill_horn, fill_horn_all, kan_check
 from .morphism import SimplicialMap, apply_map, compose
 from .product import ProductPresentation, vertex_inclusion
@@ -170,31 +171,74 @@ def _witness(p: Presentation, x: Simplex, xp: Simplex, r: int) -> Simplex | None
         raise ValueError("simplices must have equal dimension")
     if not 0 <= r <= n:
         raise ValueError(f"shift index {r} out of range")
-    if n + 1 > p.top_dim:
-        raise TruncationError(
-            f"witness search in dimension {n + 1} exceeds top_dim {p.top_dim}"
-        )
+    _check_witness_dim(p, n)
     if n and p.face_row(x) != p.face_row(xp):
         return None
     found = p.matching(n + 1, _witness_pattern(p, x, xp, r))
     return found[0] if found else None
 
 
-def _witness_pattern(p: Presentation, x: Simplex, xp: Simplex, r: int) -> list:
+def _check_witness_dim(p: Presentation, n: int):
+    if n + 1 > p.top_dim:
+        raise TruncationError(
+            f"witness search in dimension {n + 1} exceeds top_dim {p.top_dim}"
+        )
+
+
+def _witness_pattern(p: Presentation, x: Simplex, xp: Simplex | None, r: int) -> list:
     """The faces of a witness from x to xp: those of s_r x, with xp on face r+1."""
     faces = list(p.face_row(degenerate(x, r)))
     faces[r + 1] = xp
     return faces
 
 
-def _partition(p: Presentation, reps, witness) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Closure of the raw witness relation on a list of representatives.
+def _targets(p: Presentation, a_sub: SubPresentation | None = None):
+    """The one-step witness relation, as a function from x to what it reaches.
 
-    Returns the partition (blocks of rep indices, ordered by least
-    member) and whether closure added any pair the raw relation missed.
+    One ``matching`` query per call: the faces of s_n x with slot n+1
+    free, so d_{n+1} of each match names a target, whose boundary must be
+    that of x.  For the relative relation (``a_sub`` given) slot 0 is free
+    too, and d_0 of the match must witness d_0 x ~ d_0 t inside ``a_sub``;
+    as ``a_sub`` is face-closed, d_0 x and d_0 t then lie in it as well.
+    """
+
+    def targets(x: Simplex):
+        n = x.dim
+        _check_witness_dim(p, n)
+        pattern = _witness_pattern(p, x, None, n)
+        row = p.face_row(x) if n else ()
+        lo = 0  # x and each target share faces lo..n
+        if a_sub is not None:
+            pattern[0], lo = None, 1
+        for w in p.matching(n + 1, pattern):
+            w_row = p.face_row(w)
+            y, t = w_row[0], w_row[-1]
+            t_row = p.face_row(t) if n else ()
+            if t_row[lo:] != row[lo:]:
+                continue
+            if a_sub is None or (
+                a_sub.contains(y)
+                and list(p.face_row(y)) == _witness_pattern(p, row[0], t_row[0], n - 1)
+            ):
+                yield t
+
+    return targets
+
+
+def _partition(reps, targets) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Closure of the one-step witness relation on a list of representatives.
+
+    ``targets`` (see ``_targets``) is asked once per distinct
+    representative, and not at all for a lone one; a repeated one stands
+    at each of its positions.  Returns the partition (blocks of rep
+    indices, ordered by least member) and whether closure added any pair
+    the raw relation missed.
     """
     m = len(reps)
-    raw = [[False] * m for _ in range(m)]
+    positions: dict[Simplex, list[int]] = {}
+    for i, x in enumerate(reps):
+        positions.setdefault(x, []).append(i)
+    raw = {(i, i) for i in range(m)}
     parent = list(range(m))
 
     def find(i):
@@ -203,38 +247,33 @@ def _partition(p: Presentation, reps, witness) -> tuple[tuple[tuple[int, ...], .
             i = parent[i]
         return i
 
-    for i in range(m):
-        raw[i][i] = True
-        for j in range(m):
-            if i != j and witness(reps[i], reps[j]) is not None:
-                raw[i][j] = True
-                a, b = find(i), find(j)
-                if a != b:
-                    parent[b] = a
+    for x, sources in positions.items() if m > 1 else ():
+        for t in targets(x):
+            for j in positions.get(t, ()):
+                for i in sources:
+                    raw.add((i, j))
+                    parent[find(j)] = find(i)
     blocks: dict[int, list[int]] = {}
     for i in range(m):
         blocks.setdefault(find(i), []).append(i)
-    partition = tuple(tuple(sorted(b)) for b in sorted(blocks.values(), key=min))
+    partition = tuple(tuple(b) for b in sorted(blocks.values(), key=min))
     closure_needed = any(
-        not raw[i][j] for block in partition for i in block for j in block
+        (i, j) not in raw for block in partition for i in block for j in block
     )
     return partition, closure_needed
 
 
-def homotopy_classes(
-    p: Presentation, reps, witness=None
-) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Partition a family of simplices by the closed homotopy relation.
+def homotopy_classes(p: Presentation, reps) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Partition a family of n-simplices by the closed homotopy relation.
 
     Returns the partition as blocks of indices into ``reps`` plus a flag
     telling whether closure added pairs the one-step relation missed.
-    A different witness function (for example an index-shifted variant)
-    can be supplied.
+    Each distinct simplex costs one witness query.
     """
     reps = tuple(reps)
-    if witness is None:
-        return _partition(p, reps, lambda a, b: homotopy_witness(p, a, b))
-    return _partition(p, reps, witness)
+    if len({x.dim for x in reps}) > 1:
+        raise ValueError("simplices must have equal dimension")
+    return _partition(reps, _targets(p))
 
 
 def simplices_homotopic(p: Presentation, x: Simplex, xp: Simplex) -> bool:
@@ -252,9 +291,12 @@ def simplices_homotopic(p: Presentation, x: Simplex, xp: Simplex) -> bool:
     if n and bd != p.face_row(xp):
         return False
     fiber = p.matching(n, bd)
-    partition, _ = _partition(p, fiber, lambda a, b: homotopy_witness(p, a, b))
-    ix = fiber.index(x)
-    jx = fiber.index(xp)
+    return _same_block(fiber, _targets(p), x, xp)
+
+
+def _same_block(fiber, targets, x: Simplex, xp: Simplex) -> bool:
+    partition, _ = _partition(fiber, targets)
+    ix, jx = fiber.index(x), fiber.index(xp)
     return any(ix in block and jx in block for block in partition)
 
 
@@ -310,49 +352,33 @@ class PiGroup(PiSet):
         )
 
 
-def _check_table_is_group(table, identity):
-    k = len(table)
-    for a in range(k):
-        if table[identity][a] != a or table[a][identity] != a:
-            raise ConsistencyError("class table has no identity law")
-    for a in range(k):
-        if all(table[a][b] != identity for b in range(k)):
-            raise ConsistencyError("class table is missing an inverse")
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise ConsistencyError("class table is not associative")
+def _product_horn(
+    based: BasedPresentation, n: int, x: Simplex, y: Simplex, d0: Simplex | None = None
+) -> HornSpec:
+    """The horn missing face n with x on face n-1, y on face n+1, d0 on face 0.
 
-
-def _sphere_representatives(based: BasedPresentation, n: int) -> tuple[Simplex, ...]:
-    star = based.basepoint_simplex(n - 1)
-    return based.presentation.matching(n, [star] * (n + 1))
-
-
-def _product_horn(based: BasedPresentation, n: int, x: Simplex, y: Simplex) -> HornSpec:
+    Every other face, and face 0 when d0 is not given, is the basepoint.
+    """
     star = based.basepoint_simplex(n)
     faces = {i: star for i in range(n + 2) if i != n}
+    if d0 is not None:
+        faces[0] = d0
     faces[n - 1] = x
     faces[n + 1] = y
     return HornSpec.from_faces(n + 1, n, faces)
 
 
 def pi_n(
-    based: BasedPresentation,
-    n: int,
-    *,
-    require_kan_checked: bool = False,
-    use_greatest_fillers: bool = False,
-    verify: bool = True,
+    based: BasedPresentation, n: int, *, require_kan_checked: bool = False
 ) -> PiGroup:
     """The n-th homotopy group computed by exhaustive horn filling.
 
     Representatives are the n-simplices with every face at the
-    basepoint.  With ``verify`` on (the default), the product is
-    recomputed over every filler of each product horn, the table is
-    checked against all group laws, and inverses found by the two
-    inverse-horn constructions must match the table.
+    basepoint.  Every check always runs: the product is recomputed over
+    every filler of each product horn, the table must satisfy the group
+    laws, and inverses found by the two inverse-horn constructions must
+    match the table.  ``require_kan_checked`` first demands that every
+    horn up to dimension n+2 fills.
     """
     p = based.presentation
     if n < 1:
@@ -368,71 +394,75 @@ def pi_n(
                 f"{len(report.witnesses)} unfillable horns up to dimension {n + 2}, "
                 f"first: {report.witnesses[0].describe()}"
             )
-    reps = _sphere_representatives(based, n)
-    classes, closure_needed = _partition(
-        p, reps, lambda a, b: homotopy_witness(p, a, b)
-    )
+    reps = p.matching(n, [based.basepoint_simplex(n - 1)] * (n + 1))
+    horn_for = lambda x, y: _product_horn(based, n, x, y)
+    pi = _classes(based, n, reps, _targets(p), horn_for, "product")
+    _verify_horn_inverses(based, pi)
+    return pi
 
-    index_of = {}
-    for c, block in enumerate(classes):
-        for i in block:
-            index_of[reps[i]] = c
 
-    def class_of(x: Simplex) -> int:
-        return index_of[x]
+def _classes(based: BasedPresentation, n: int, reps, targets, horn_for=None, what=""):
+    """The classes of ``reps``: a PiSet, or with ``horn_for`` a PiGroup.
 
-    basepoint_class = class_of(based.basepoint_simplex(n))
-    k = len(classes)
-    table = [[0] * k for _ in range(k)]
-    for a in range(k):
-        x = reps[classes[a][0]]
-        for b in range(k):
-            y = reps[classes[b][0]]
-            h = _product_horn(based, n, x, y)
+    The product of classes a and b is the class of face n of every filler
+    of ``horn_for(x, y)``, x and y the least representatives of a and b;
+    fillers must agree, and the table must be a group.  ``what`` names the
+    product in error texts.
+    """
+    p = based.presentation
+    classes, closure_needed = _partition(reps, targets)
+    index_of = {reps[i]: c for c, block in enumerate(classes) for i in block}
+    identity = index_of[based.basepoint_simplex(n)]
+    if horn_for is None:
+        return PiSet(n, reps, classes, identity, closure_needed)
+    table = []
+    for a in classes:
+        row = []
+        for b in classes:
+            h = horn_for(reps[a[0]], reps[b[0]])
             fillers = fill_horn_all(p, h)
             if not fillers:
                 raise NotKanError(
-                    f"product horn has no filler; complex is not Kan enough: "
+                    f"{what} horn has no filler; complex is not Kan enough: "
                     f"{h.describe()}"
                 )
-            results = {class_of(p.face(z, n)) for z in fillers}
-            if verify and len(results) > 1:
+            results = {index_of[p.face(z, n)] for z in fillers}
+            if len(results) > 1:
                 raise ConsistencyError(
-                    f"product depends on the filler for {h.describe()}"
+                    f"{what} depends on the filler for {h.describe()}"
                 )
-            chosen = fillers[-1] if use_greatest_fillers else fillers[0]
-            table[a][b] = class_of(p.face(chosen, n))
-    table = tuple(tuple(row) for row in table)
-    _check_table_is_group(table, basepoint_class)
-    if verify:
-        _verify_horn_inverses(based, n, reps, classes, class_of, table, basepoint_class)
-    return PiGroup(n, reps, classes, basepoint_class, closure_needed, table)
+            row.append(results.pop())
+        table.append(tuple(row))
+    table = tuple(table)
+    _check_group(table, identity)
+    return PiGroup(n, reps, classes, identity, closure_needed, table)
 
 
-def _verify_horn_inverses(based, n, reps, classes, class_of, table, identity):
+def _check_group(table, identity: int):
+    """Raise ConsistencyError unless a class table obeys the group laws."""
+    try:
+        GroupTable(tuple(map(str, range(len(table)))), table, identity)
+    except ValueError as exc:
+        raise ConsistencyError(f"class table is not a group: {exc}") from None
+
+
+def _verify_horn_inverses(based: BasedPresentation, pi: PiGroup):
     """Find inverses by horn filling and require agreement with the table."""
-    p = based.presentation
+    p, n = based.presentation, pi.n
     star = based.basepoint_simplex(n)
-    for a, block in enumerate(classes):
-        x = reps[block[0]]
-        # right inverse: fill the horn missing face n+1, x on face n-1
-        faces = {i: star for i in range(n + 2) if i != n + 1}
-        faces[n - 1] = x
-        z = fill_horn(p, HornSpec.from_faces(n + 1, n + 1, faces))
-        if z is None:
-            raise NotKanError("right-inverse horn has no filler")
-        right = class_of(p.face(z, n + 1))
-        # left inverse: fill the horn missing face n-1, x on face n+1
-        faces = {i: star for i in range(n + 2) if i != n - 1}
-        faces[n + 1] = x
-        z = fill_horn(p, HornSpec.from_faces(n + 1, n - 1, faces))
-        if z is None:
-            raise NotKanError("left-inverse horn has no filler")
-        left = class_of(p.face(z, n - 1))
-        if table[a][right] != identity:
-            raise ConsistencyError("horn right inverse disagrees with the table")
-        if table[left][a] != identity:
-            raise ConsistencyError("horn left inverse disagrees with the table")
+    for a, block in enumerate(pi.classes):
+        # right inverse: fill the horn missing face n+1, x on face n-1;
+        # left inverse: the horn missing face n-1, x on face n+1
+        for side, k, at in (("right", n + 1, n - 1), ("left", n - 1, n + 1)):
+            faces = {i: star for i in range(n + 2) if i != k}
+            faces[at] = pi.reps[block[0]]
+            z = fill_horn(p, HornSpec.from_faces(n + 1, k, faces))
+            if z is None:
+                raise NotKanError(f"{side}-inverse horn has no filler")
+            b = pi.class_of(p.face(z, k))
+            product = pi.product(a, b) if side == "right" else pi.product(b, a)
+            if product != pi.identity:
+                raise ConsistencyError(f"horn {side} inverse disagrees with the table")
 
 
 # -- homotopies of maps ------------------------------------------------------
@@ -620,10 +650,7 @@ def rel_homotopy_witness(
         raise ValueError("simplices must have equal dimension")
     if n < 1:
         raise ValueError("relative homotopy needs dimension >= 1")
-    if n + 1 > p.top_dim:
-        raise TruncationError(
-            f"witness search in dimension {n + 1} exceeds top_dim {p.top_dim}"
-        )
+    _check_witness_dim(p, n)
     (d0x, *rest), (d0xp, *rest_p) = p.face_row(x), p.face_row(xp)
     if rest != rest_p:
         return None
@@ -647,42 +674,30 @@ def simplices_homotopic_rel(
     n = x.dim
     if xp.dim != n:
         raise ValueError("simplices must have equal dimension")
+    if n < 1:
+        raise ValueError("relative homotopy needs dimension >= 1")
     if x == xp:
         return True
-    if any(p.face(x, i) != p.face(xp, i) for i in range(1, n + 1)):
+    bd = (None,) + p.face_row(x)[1:]
+    if p.face_row(xp)[1:] != bd[1:]:
         return False
-    bd = [None] + [p.face(x, i) for i in range(1, n + 1)]
     fiber = [z for z in p.matching(n, bd) if a_sub.contains(p.face(z, 0))]
     if x not in fiber or xp not in fiber:
         return False
-    partition, _ = _partition(
-        p, fiber, lambda u, v: rel_homotopy_witness(p, a_sub, u, v)
-    )
-    ix, jx = fiber.index(x), fiber.index(xp)
-    return any(ix in block and jx in block for block in partition)
-
-
-def _rel_representatives(based, a_sub, n):
-    p = based.presentation
-    star = based.basepoint_simplex(n - 1)
-    return tuple(
-        x for x in p.matching(n, [None] + [star] * n) if a_sub.contains(p.face(x, 0))
-    )
+    return _same_block(fiber, _targets(p, a_sub), x, xp)
 
 
 def pi_n_rel(
-    based: BasedPresentation,
-    a_sub: SubPresentation,
-    n: int,
-    *,
-    verify: bool = True,
+    based: BasedPresentation, a_sub: SubPresentation, n: int
 ) -> PiSet | PiGroup:
     """Relative homotopy classes; a pointed set at n = 1, a group for n >= 2.
 
     Representatives have their 0-face in the subcomplex and every other
     face at the basepoint.  For n >= 2 the product first multiplies the
     0-faces inside the subcomplex, then fills a horn carrying that
-    witness on face 0.
+    witness on face 0.  The product is recomputed over every filler of
+    each such horn and the table must satisfy the group laws; unlike
+    ``pi_n``, inverses are not re-derived from horns.
     """
     p = based.presentation
     if n < 1:
@@ -694,54 +709,21 @@ def pi_n_rel(
     needed = n + 1 if n == 1 else n + 2
     if p.top_dim < needed:
         raise TruncationError(f"pi_{n} relative needs top_dim >= {needed}")
-    reps = _rel_representatives(based, a_sub, n)
-    classes, closure_needed = _partition(
-        p, reps, lambda u, v: rel_homotopy_witness(p, a_sub, u, v)
-    )
-    index_of = {}
-    for c, block in enumerate(classes):
-        for i in block:
-            index_of[reps[i]] = c
-    basepoint_class = index_of[based.basepoint_simplex(n)]
+    pattern = [None] + [based.basepoint_simplex(n - 1)] * n
+    reps = tuple(x for x in p.matching(n, pattern) if a_sub.contains(p.face(x, 0)))
+    targets = _targets(p, a_sub)
     if n == 1:
-        return PiSet(n, reps, classes, basepoint_class, closure_needed)
-
+        return _classes(based, n, reps, targets)
     a_pres = a_sub.restriction()
-    a_based = BasedPresentation(a_pres, based.basepoint)
-    star_low = based.basepoint_simplex(n - 1)
-    star = based.basepoint_simplex(n)
-    k = len(classes)
-    table = [[0] * k for _ in range(k)]
-    for a in range(k):
-        x = reps[classes[a][0]]
-        for b in range(k):
-            y = reps[classes[b][0]]
-            # witness for the product of the 0-faces inside the subcomplex
-            faces = {i: star_low for i in range(n + 1) if i != n - 1}
-            faces[n - 2] = p.face(x, 0)
-            faces[n] = p.face(y, 0)
-            z = fill_horn(a_pres, HornSpec.from_faces(n, n - 1, faces))
-            if z is None:
-                raise NotKanError("no product witness in the subcomplex")
-            faces = {i: star for i in range(n + 2) if i != n}
-            faces[0] = z
-            faces[n - 1] = x
-            faces[n + 1] = y
-            horn = HornSpec.from_faces(n + 1, n, faces)
-            fillers = fill_horn_all(p, horn)
-            if not fillers:
-                raise NotKanError(
-                    f"relative product horn has no filler: {horn.describe()}"
-                )
-            results = {index_of[p.face(w, n)] for w in fillers}
-            if verify and len(results) > 1:
-                raise ConsistencyError(
-                    f"relative product depends on the filler for {horn.describe()}"
-                )
-            table[a][b] = index_of[p.face(fillers[0], n)]
-    table = tuple(tuple(row) for row in table)
-    _check_table_is_group(table, basepoint_class)
-    return PiGroup(n, reps, classes, basepoint_class, closure_needed, table)
+
+    def horn_for(x: Simplex, y: Simplex) -> HornSpec:
+        # face 0 carries the product of the 0-faces, taken inside the subcomplex
+        z = fill_horn(a_pres, _product_horn(based, n - 1, p.face(x, 0), p.face(y, 0)))
+        if z is None:
+            raise NotKanError("no product witness in the subcomplex")
+        return _product_horn(based, n, x, y, z)
+
+    return _classes(based, n, reps, targets, horn_for, "relative product")
 
 
 def les_boundary(

@@ -65,6 +65,53 @@ def scan_matching(p: Presentation, n: int, pattern) -> tuple[Simplex, ...]:
     )
 
 
+# -- pair-by-pair oracle for the homotopy partition ---------------------------
+
+
+def pairwise_partition(reps, witness) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Closure of a one-step witness relation, tried on every ordered pair.
+
+    The reference for the homotopy partition, which asks one query per
+    representative instead: ``witness(a, b)`` is called for every pair of
+    positions i != j, repeated representatives included.  Returns the
+    partition (blocks of indices, ordered by least member) and whether
+    closure added any pair the raw relation missed.
+    """
+    m = len(reps)
+    raw = [[False] * m for _ in range(m)]
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        raw[i][i] = True
+        for j in range(m):
+            if i != j and witness(reps[i], reps[j]) is not None:
+                raw[i][j] = True
+                a, b = find(i), find(j)
+                if a != b:
+                    parent[b] = a
+    blocks: dict[int, list[int]] = {}
+    for i in range(m):
+        blocks.setdefault(find(i), []).append(i)
+    partition = tuple(tuple(sorted(b)) for b in sorted(blocks.values(), key=min))
+    closure_needed = any(
+        not raw[i][j] for block in partition for i in block for j in block
+    )
+    return partition, closure_needed
+
+
+def with_generator(p: Presentation, g: GenId, faces) -> Presentation:
+    """Copy of a presentation with one more generator g and its face tuple."""
+    table = {h: p.faces_of(h) for h in p.all_generators() if h.dim}
+    table[g] = tuple(faces)
+    return Presentation(list(p.all_generators()) + [g], table, p.top_dim, name=p.name)
+
+
 # -- pair-by-pair oracles for the product path ---------------------------------
 
 

@@ -8,10 +8,18 @@ import random
 from itertools import combinations
 from math import comb
 
-import ssets as S
-from ssets import BasedPresentation, GenId, HornSpec, Presentation, Simplex
+import pytest
 
-from helpers import random_complex, swap_faces, swappable_generators
+import ssets as S
+from ssets import BasedPresentation, GenId, HornSpec, Simplex
+
+from helpers import (
+    pairwise_partition,
+    random_complex,
+    swap_faces,
+    swappable_generators,
+    with_generator,
+)
 
 
 def report(n, label):
@@ -147,23 +155,21 @@ def test_criterion_6_homotopy_groups():
             assert p.face(top, 1) == x and p.face(top, 2) == x
             bottom = S.degenerate(x, 0)
             assert p.face(bottom, 0) == x and p.face(bottom, 1) == x
-        # table is unchanged when products use the other extreme filler
-        other = S.pi_n(based, 1, use_greatest_fillers=True)
-        assert other.table == pi.table
 
     # a fixture where product horns genuinely have several fillers
     z2p = S.nerve(S.cyclic(2), 4)
-    extra = GenId(2, "cc")
-    gens = list(z2p.all_generators()) + [extra]
-    faces = {g: z2p.faces_of(g) for g in z2p.all_generators() if g.dim >= 1}
-    faces[extra] = z2p.faces_of(z2p.generator(2, "g,g"))
-    doubled = Presentation(gens, faces, 4)
+    doubled = with_generator(z2p, GenId(2, "cc"), z2p.faces_of(z2p.generator(2, "g,g")))
     based = BasedPresentation(doubled, doubled.generator(0, "*"))
     from ssets.homotopy import _product_horn
     g_edge = Simplex((), doubled.generator(1, "g"))
     assert len(S.fill_horn_all(doubled, _product_horn(based, 1, g_edge, g_edge))) == 2
     pi = S.pi_n(based, 1)
     assert pi.order == 2
+    # and one where they disagree: a 2-cell with faces (g, g, g) beside (g,g)
+    clash = with_generator(z2p, GenId(2, "cc"), (g_edge,) * 3)
+    assert clash.validate().ok
+    with pytest.raises(S.ConsistencyError, match=r"^product depends on the filler "):
+        S.pi_n(BasedPresentation(clash, clash.generator(0, "*")), 1)
     report(6, "fundamental groups of nerves with laws and filler independence")
 
 
@@ -269,10 +275,8 @@ def test_criterion_9_property_suites():
             ]
             base_classes, _ = S.homotopy_classes(p, reps)
             for r in range(n + 1):
-                shifted, _ = S.homotopy_classes(
-                    p,
-                    reps,
-                    witness=lambda a, b: S.homotopy_witness_shifted(p, a, b, r),
+                shifted, _ = pairwise_partition(
+                    reps, lambda a, b: S.homotopy_witness_shifted(p, a, b, r)
                 )
                 assert shifted == base_classes
     report(9, "confluence, mutation detection, boundary-square, Euler, shifts")

@@ -1,9 +1,17 @@
 """Components, homotopy of simplices, homotopy groups, relative groups, LES."""
 
+from pathlib import Path
+
 import pytest
 
 import ssets as S
 from ssets import BasedPresentation, GenId, Presentation, Simplex
+from ssets import homotopy as H
+from ssets import io as sio
+
+from helpers import pairwise_partition, with_generator
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 def based_nerve(table, top_dim=4):
@@ -86,6 +94,24 @@ def test_homotopy_needs_headroom():
     e = Simplex((), z2_short.generator(1, "g"))
     with pytest.raises(S.TruncationError):
         S.homotopy_witness(z2_short, e, e)
+    # a lone representative needs no search; two need one
+    assert S.homotopy_classes(z2_short, [e]) == (((0,),), False)
+    with pytest.raises(S.TruncationError):
+        S.homotopy_classes(z2_short, [e, e])
+
+
+def test_witness_targets_keep_the_boundary_of_x():
+    # edges x: a -> b and t: a -> c, and a 2-cell w with faces (s0 b, x, t)
+    # that fails validation: w has the shape of a witness from x to t, but
+    # t has another boundary, so it is no witness
+    a, b, c = (GenId(0, v) for v in "abc")
+    x, t, w = GenId(1, "x"), GenId(1, "t"), GenId(2, "w")
+    va, vb, vc, sx, st = (Simplex((), g) for g in (a, b, c, x, t))
+    faces = {x: (vb, va), t: (vc, va), w: (S.degenerate(vb, 0), sx, st)}
+    p = Presentation([a, b, c, x, t, w], faces, 2)
+    assert not p.validate().ok
+    assert S.homotopy_witness(p, sx, st) is None
+    assert S.homotopy_classes(p, [sx, st]) == (((0,), (1,)), False)
 
 
 # -- absolute homotopy groups -------------------------------------------------
@@ -142,10 +168,75 @@ def test_pi1_specific_product_in_z3(z3):
     assert pi.product(a, b) == pi.identity  # g * g2 = e in Z/3
 
 
-def test_pi1_greatest_filler_gives_same_table(z3):
-    least = S.pi_n(z3, 1)
-    greatest = S.pi_n(z3, 1, use_greatest_fillers=True)
-    assert least.table == greatest.table
+def test_product_that_depends_on_the_filler_is_refused():
+    # a second 2-cell cc with faces (g, g, g) beside (g,g), whose faces are
+    # (g, e, g): the product horn of g with g has both as fillers, and their
+    # faces 1 lie in different classes
+    z2 = S.nerve(S.cyclic(2), 4)
+    g_edge = Simplex((), z2.generator(1, "g"))
+    p = with_generator(z2, GenId(2, "cc"), (g_edge,) * 3)
+    assert p.validate().ok
+    with pytest.raises(S.ConsistencyError, match=r"^product depends on the filler "):
+        S.pi_n(BasedPresentation(p, p.generator(0, "*")), 1)
+
+
+@pytest.mark.parametrize(
+    "table, reason",
+    [
+        (((0, 1), (0, 1)), "0 is not an identity"),
+        (((0, 1), (1, 1)), "1 has no inverse"),
+        (((0, 1, 2), (1, 0, 0), (2, 0, 0)), "multiplication is not associative"),
+    ],
+)
+def test_class_table_that_is_not_a_group_is_refused(table, reason):
+    H._check_group(((0, 1), (1, 0)), 0)
+    with pytest.raises(S.ConsistencyError) as info:
+        H._check_group(table, 0)
+    assert str(info.value) == f"class table is not a group: {reason}"
+
+
+def test_class_tables_go_through_the_group_check():
+    # a product that ignores its second factor breaks the identity law
+    based = based_nerve(S.cyclic(3))
+    p = based.presentation
+    reps = p.matching(1, [based.basepoint_simplex(0)] * 2)
+    with pytest.raises(S.ConsistencyError, match="^class table is not a group: "):
+        H._classes(
+            based, 1, reps, H._targets(p),
+            lambda x, y: H._product_horn(based, 1, x, x), "product",
+        )
+
+
+def test_partition_asks_one_witness_query_per_representative(monkeypatch):
+    # nerve(Z/16) has 16 loops at the basepoint; trying every ordered pair
+    # took 16 * 15 = 240 witness searches
+    based = based_nerve(S.cyclic(16), 3)
+    queries, inside = [], [False]
+    matching, partition = Presentation.matching, H._partition
+
+    def counted(self, n, pattern):
+        if inside[0]:
+            queries.append((n, tuple(pattern)))
+        return matching(self, n, pattern)
+
+    def tracked(reps, targets):
+        inside[0] = True
+        try:
+            return partition(reps, targets)
+        finally:
+            inside[0] = False
+
+    def no_pairwise(*args):
+        raise AssertionError("pairwise witness search")
+
+    monkeypatch.setattr(Presentation, "matching", counted)
+    monkeypatch.setattr(H, "_partition", tracked)
+    monkeypatch.setattr(H, "_witness", no_pairwise)
+    pi = S.pi_n(based, 1)
+    assert pi.order == 16 and not pi.closure_needed
+    assert len(queries) == 16
+    assert len(set(queries)) == 16
+    assert all(n == 2 and pattern[2] is None for n, pattern in queries)
 
 
 def test_pi1_with_kan_precheck(z2):
@@ -205,11 +296,7 @@ def test_multiple_fillers_agree_on_doubled_nerve():
     # add a second copy of the (g,g) cell; product horns then have two
     # fillers and the product class must not depend on the choice
     z2p = S.nerve(S.cyclic(2), 4)
-    extra = GenId(2, "cc")
-    gens = list(z2p.all_generators()) + [extra]
-    faces = {g: z2p.faces_of(g) for g in z2p.all_generators() if g.dim >= 1}
-    faces[extra] = z2p.faces_of(z2p.generator(2, "g,g"))
-    doubled = Presentation(gens, faces, 4, name="doubled")
+    doubled = with_generator(z2p, GenId(2, "cc"), z2p.faces_of(z2p.generator(2, "g,g")))
     assert doubled.validate().ok
     based = BasedPresentation(doubled, doubled.generator(0, "*"))
     pi = S.pi_n(based, 1)
@@ -393,6 +480,50 @@ def test_relative_classes_of_z4_pair():
     assert rel.basepoint_class == rel.class_of(based.basepoint_simplex(1))
 
 
+def test_relative_homotopy_of_vertices_is_refused():
+    d1 = S.standard_simplex(1, top_dim=3)
+    sub = S.SubPresentation.closure(d1, {d1.generator(0, "0")})
+    v0, v1 = (Simplex((), d1.generator(0, name)) for name in ("0", "1"))
+    for x, xp in ((v0, v1), (v0, v0)):
+        with pytest.raises(ValueError, match="relative homotopy needs dimension >= 1"):
+            S.simplices_homotopic_rel(d1, sub, x, xp)
+        with pytest.raises(ValueError, match="relative homotopy needs dimension >= 1"):
+            S.rel_homotopy_witness(d1, sub, x, xp)
+
+
+def test_relative_witness_needs_a_one_step_homotopy_in_the_subcomplex():
+    # a 2-cell w with faces (bc, ab, ac), which fails validation: it has the
+    # shape of a relative witness from ab to ac, but its 0-face bc runs from
+    # b to c, not from c to b as a witness of b ~ c must
+    a, b, c = (GenId(0, v) for v in "abc")
+    ab, ac, bc, w = GenId(1, "ab"), GenId(1, "ac"), GenId(1, "bc"), GenId(2, "w")
+    va, vb, vc, xab, xac, xbc = (Simplex((), g) for g in (a, b, c, ab, ac, bc))
+    faces = {ab: (vb, va), ac: (vc, va), bc: (vc, vb), w: (xbc, xab, xac)}
+    p = Presentation([a, b, c, ab, ac, bc, w], faces, 2)
+    assert not p.validate().ok
+    sub = S.SubPresentation.closure(p, {bc})
+    assert S.rel_homotopy_witness(p, sub, xab, xac) is None
+    assert not S.simplices_homotopic_rel(p, sub, xab, xac)
+
+
+def test_relative_partition_agrees_with_the_pairwise_oracle_on_the_z4_pair():
+    p = sio.load_presentation(FIXTURES / "nerve_z4.sset")
+    sub_doc = sio.load_presentation(FIXTURES / "nerve_z4_sub2.sset")
+    sub = S.SubPresentation(p, frozenset(sub_doc.all_generators()))
+    based = BasedPresentation(p, p.generator(0, "*"))
+
+    def oracle(reps):
+        return pairwise_partition(
+            reps, lambda u, v: S.rel_homotopy_witness(p, sub, u, v)
+        )
+
+    for n in (1, 2):
+        rel = S.pi_n_rel(based, sub, n)
+        assert (rel.classes, rel.closure_needed) == oracle(rel.reps)
+        reps = p.simplices(n) + (p.simplices(n)[n],)
+        assert H._partition(reps, H._targets(p, sub)) == oracle(reps)
+
+
 def test_relative_differing_shared_faces_rejects():
     based, sub = z4_pair()
     p = based.presentation
@@ -458,9 +589,7 @@ def test_index_shift_witnesses_define_same_classes():
             ]
             base, _ = S.homotopy_classes(p, reps)
             for r in range(n + 1):
-                shifted, _ = S.homotopy_classes(
-                    p,
-                    reps,
-                    witness=lambda a, b: S.homotopy_witness_shifted(p, a, b, r),
+                shifted, _ = pairwise_partition(
+                    reps, lambda a, b: S.homotopy_witness_shifted(p, a, b, r)
                 )
                 assert shifted == base

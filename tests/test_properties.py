@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import ssets as S
 from ssets import Simplex
+from ssets import homotopy
 
 from helpers import (
     minor_gcd_invariant_factors,
+    pairwise_partition,
     oracle_degeneracy,
     oracle_face,
     random_complex,
@@ -374,3 +376,64 @@ def test_homology_pipeline_on_random_complexes():
         for degree in (0, 1):
             oracle = S.homology_of_complex(S.unnormalized_complex(p, degree + 2))
             assert oracle[degree] == groups[degree]
+
+
+# -- the homotopy partition against the pair-by-pair oracle --------------------
+
+
+def with_a_repeat(rng, reps):
+    """reps with one of its members inserted again at a random position."""
+    reps = list(reps)
+    reps.insert(rng.randint(0, len(reps)), rng.choice(reps))
+    return reps
+
+
+def complex_and_mutant(rng):
+    """A random complex and a copy with two faces of one cell swapped.
+
+    The copy fails validation, so faces the simplicial identities would
+    force must be checked by the searches themselves.
+    """
+    p = random_complex(rng, max_vertices=5)
+    g, pairs = rng.choice(swappable_generators(p))
+    return p, swap_faces(p, g, *rng.choice(pairs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_partition_agrees_with_the_pairwise_oracle_on_random_complexes(seed):
+    # n = 0 is where closure is needed: an edge witnesses one direction only
+    rng = random.Random(seed)
+    for p in complex_and_mutant(rng):
+        for n in range(p.top_dim - 1):
+            reps = with_a_repeat(rng, p.simplices(n))
+            expected = pairwise_partition(
+                reps, lambda a, b: S.homotopy_witness(p, a, b)
+            )
+            assert S.homotopy_classes(p, reps) == expected
+
+
+@pytest.mark.parametrize("k", [2, 5, 8])
+def test_partition_agrees_with_the_pairwise_oracle_on_nerves(k):
+    p = S.nerve(S.cyclic(k), 3)
+    rng = random.Random(k)
+    for n in range(2):
+        reps = with_a_repeat(rng, p.simplices(n))
+        expected = pairwise_partition(reps, lambda a, b: S.homotopy_witness(p, a, b))
+        assert S.homotopy_classes(p, reps) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_relative_partition_agrees_with_the_pairwise_oracle(seed):
+    # n = 1 is where closure is needed here
+    rng = random.Random(seed)
+    for p in complex_and_mutant(rng):
+        gens = list(p.all_generators())
+        sub = S.SubPresentation.closure(p, rng.sample(gens, rng.randint(1, len(gens))))
+        for n in range(1, p.top_dim - 1):
+            reps = with_a_repeat(rng, p.simplices(n))
+            expected = pairwise_partition(
+                reps, lambda u, v: S.rel_homotopy_witness(p, sub, u, v)
+            )
+            assert homotopy._partition(reps, homotopy._targets(p, sub)) == expected
