@@ -73,6 +73,8 @@ _NAME_RE = re.compile(r"[^\s;:#]+$")
 _DEGEN_RE = re.compile(r"s(\d+)$")
 # _NAME_RE and not _DEGEN_RE, in one match
 _VALID_NAME_RE = re.compile(r"(?!s\d+$)[^\s;:#]+$")
+# an empty entry of a faces line, searched for in f";{exprs};"
+_EMPTY_ENTRY_RE = re.compile(r";\s*;")
 
 
 def _check_name(name: str, line: int) -> str:
@@ -83,11 +85,15 @@ def _check_name(name: str, line: int) -> str:
     raise ParseError(f"name {name!r} collides with degeneracy-operator syntax", line)
 
 
-def _logical_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+def _logical_lines(chunks):
+    """Numbered non-blank lines of chunks of text, each split by str.splitlines."""
+    lineno = 0
+    for chunk in chunks:
+        for raw in chunk.splitlines():
+            lineno += 1
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
 
 
 def parse_face_expression(
@@ -139,12 +145,16 @@ def parse_face_expression(
 
 
 def loads_presentation(text: str, name: str | None = None) -> Presentation:
-    doc_name = name
+    return _read_presentation((text,), name)
+
+
+def _read_presentation(chunks, doc_name: str | None) -> Presentation:
+    """Parse a document from chunks; faces lines stay raw text until pass two."""
     style = "simplicial"
     top_dim = None
     gens_by_dim: dict[int, list[str]] = {}
-    face_lines: list[tuple[int, str, list[str]]] = []
-    for lineno, line in _logical_lines(text):
+    face_lines: list[tuple[int, str, str]] = []
+    for lineno, line in _logical_lines(chunks):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "faces":  # the most common line first
@@ -153,10 +163,9 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
                 raise ParseError("faces line needs a ':'", lineno)
             gen_name = gen_name.strip()
             _check_name(gen_name, lineno)
-            entries = list(map(str.strip, exprs.split(";")))
-            if "" in entries:
+            if _EMPTY_ENTRY_RE.search(f";{exprs};"):
                 raise ParseError("empty face expression", lineno)
-            face_lines.append((lineno, gen_name, entries))
+            face_lines.append((lineno, gen_name, exprs))
         elif head == "name":
             doc_name = rest or doc_name
         elif head == "style":
@@ -186,22 +195,21 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if top_dim is None:
         raise ParseError("document is missing a top_dim line")
-    gens: list[GenId] = []
-    by_key: dict[tuple[int, str], GenId] = {}
+    # by_key maps each GenId to itself, so a (dim, name) tuple finds it; carrier
+    # maps a name to its generator of dimension >= 1, None if there are several
+    by_key: dict[GenId, GenId] = {}
+    carrier: dict[str, GenId | None] = {}
     for dim, names in gens_by_dim.items():
         for n in names:
             g = GenId(dim, n)
-            if (dim, n) in by_key:
+            if g in by_key:
                 raise SemanticError(f"duplicate generator {n!r} in dimension {dim}")
-            by_key[(dim, n)] = g
-            gens.append(g)
+            by_key[g] = g
+            if dim >= 1:
+                carrier[n] = None if n in carrier else g
 
     def lookup(dim, n):
         return by_key.get((dim, n))
-
-    all_names: dict[str, list[GenId]] = {}
-    for g in gens:
-        all_names.setdefault(g.name, []).append(g)
 
     # One text -> Simplex memo per dimension.  A bare generator name is one
     # by_key lookup (names hold no whitespace); anything else is parsed,
@@ -222,20 +230,21 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
         return simplex
 
     faces: dict[GenId, tuple[Simplex, ...]] = {}
-    for lineno, gen_name, entries in face_lines:
-        candidates = all_names.get(gen_name, [])
-        carriers = [g for g in candidates if g.dim >= 1]
-        if not carriers:
+    face_lines.reverse()  # popped in line order, so each is freed once read
+    while face_lines:
+        lineno, gen_name, exprs = face_lines.pop()
+        if gen_name not in carrier:
             raise SemanticError(
                 f"faces given for unknown or zero-dimensional generator {gen_name!r}"
             )
-        if len(carriers) > 1:
+        g = carrier[gen_name]
+        if g is None:
             raise SemanticError(
                 f"ambiguous generator name {gen_name!r}; duplicate across dimensions"
             )
-        g = carriers[0]
         if g in faces:
             raise SemanticError(f"duplicate face entries for {gen_name!r}")
+        entries = [e.strip() for e in exprs.split(";")]
         if len(entries) != g.dim + 1:
             raise SemanticError(
                 f"generator {gen_name!r} needs {g.dim + 1} faces, got {len(entries)}"
@@ -244,30 +253,26 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
         faces[g] = row = tuple(map(memo.get, entries))
         if None in row:
             faces[g] = tuple(resolve(e, g.dim - 1, memo, lineno) for e in entries)
-    for g in gens:
+    for g in by_key:
         if g.dim >= 1 and g not in faces:
             raise SemanticError(f"generator {g.name!r} has no face entries")
     return Presentation(
-        gens, faces, top_dim, delta_style=(style == "delta"), name=doc_name
+        by_key, faces, top_dim, delta_style=(style == "delta"), name=doc_name
     )
 
 
-def dumps_presentation(p: Presentation) -> str:
-    """The canonical document for p; each distinct face is formatted once."""
+def _document_lines(p: Presentation):
+    """Check that p can be written, then return a generator of its lines."""
     for g in p.all_generators():
         if not _VALID_NAME_RE.match(g.name):
             raise SemanticError(
                 f"generator name {g.name!r} cannot be written in the file grammar"
             )
-    lines = []
-    if p.name:
-        lines.append(f"name {p.name}")
-    lines.append(f"style {'delta' if p.delta_style else 'simplicial'}")
-    lines.append(f"top_dim {p.top_dim}")
-    for d in range(p.max_generator_dim + 1):
-        gens = p.generators_at(d)
-        if gens:
-            lines.append(f"generators {d} : " + " ".join(g.name for g in gens))
+    name = p.name  # it must read back: no '#', no line break, no outer whitespace
+    if name and ("#" in name or name != name.strip() or len(name.splitlines()) > 1):
+        raise SemanticError(
+            f"document name {name!r} cannot be written in the file grammar"
+        )
     texts: dict[Simplex, str] = {}
 
     def text(f):
@@ -276,20 +281,37 @@ def dumps_presentation(p: Presentation) -> str:
             t = texts[f] = format_simplex(f)
         return t
 
-    for g in p.all_generators():
-        if g.dim >= 1:
-            exprs = " ; ".join(map(text, p.faces_of(g)))
-            lines.append(f"faces {g.name} : {exprs}")
-    return "\n".join(lines) + "\n"
+    def lines():
+        if name:
+            yield f"name {name}\n"
+        yield f"style {'delta' if p.delta_style else 'simplicial'}\n"
+        yield f"top_dim {p.top_dim}\n"
+        for d in range(p.max_generator_dim + 1):
+            gens = p.generators_at(d)
+            if gens:
+                yield f"generators {d} : {' '.join(g.name for g in gens)}\n"
+        for g in p.all_generators():
+            if g.dim >= 1:
+                yield f"faces {g.name} : {' ; '.join(map(text, p.faces_of(g)))}\n"
+
+    return lines()
+
+
+def dumps_presentation(p: Presentation) -> str:
+    """The canonical document for p; each distinct face is formatted once."""
+    return "".join(_document_lines(p))
 
 
 def load_presentation(path) -> Presentation:
     path = Path(path)
-    return loads_presentation(path.read_text(), name=path.stem)
+    with path.open() as f:
+        return _read_presentation(f, path.stem)
 
 
 def save_presentation(p: Presentation, path) -> None:
-    Path(path).write_text(dumps_presentation(p))
+    lines = _document_lines(p)
+    with Path(path).open("w") as f:
+        f.writelines(lines)
 
 
 def parse_simplex(p: Presentation, text: str, dim: int) -> Simplex:
@@ -318,7 +340,7 @@ def loads_map(
         g = GenId(dim, n)
         return g if target.has_generator(g) else None
 
-    for lineno, line in _logical_lines(text):
+    for lineno, line in _logical_lines((text,)):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "name":
@@ -346,7 +368,7 @@ def loads_map(
 
 def _referenced_files(text: str) -> dict[str, str]:
     refs = {}
-    for lineno, line in _logical_lines(text):
+    for lineno, line in _logical_lines((text,)):
         head, _, rest = line.partition(" ")
         if head in ("source", "target"):
             if not rest.strip():
@@ -378,7 +400,7 @@ def load_map(
 def loads_group_table(text: str) -> GroupTable:
     elements: tuple[str, ...] | None = None
     rows: dict[str, list[str]] = {}
-    for lineno, line in _logical_lines(text):
+    for lineno, line in _logical_lines((text,)):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "elements":
@@ -391,7 +413,10 @@ def loads_group_table(text: str) -> GroupTable:
             name, sep, values = rest.partition(":")
             if not sep:
                 raise ParseError("table line needs a ':'", lineno)
-            rows[name.strip()] = values.split()
+            name = name.strip()
+            if name in rows:
+                raise ParseError(f"duplicate table row for {name!r}", lineno)
+            rows[name] = values.split()
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if elements is None:
