@@ -264,6 +264,11 @@ def _cmd_nerve(args):
         table = cyclic(args.cyclic)
     else:
         table = sio.load_group_table(args.table)
+        if args.top_dim >= 1:  # below 1, nerve's own refusal comes first
+            # a nerve's generators are its basepoint, the other elements and
+            # comma-joined tuples of them; only an element's name can be
+            # unwritable, and saving checks those names in sorted order
+            sio._check_writable(sorted(set(table.elements) - {table.identity_name}))
     p = nerve(table, args.top_dim)
     sio.save_presentation(p, args.output)
     payload = {

@@ -107,44 +107,51 @@ def nerve(group: GroupTable, top_dim: int) -> Presentation:
     multiply adjacent coordinates; the outer two faces drop the first or
     last coordinate.  Face tuples that acquire an identity coordinate
     are re-expressed as degeneracies of the shorter identity-free tuple.
+
+    Tuples hold element indices, multiplied through the group's table.
+    Each distinct face tuple is resolved to its simplex once per call;
+    top-dimension tuples are never faces, so they are not remembered.
+    The tables are valid by construction, so the result is not checked
+    again.
     """
     if top_dim < 1:
         raise ValueError("nerve truncation must be >= 1")
-    e = group.identity_name
-    others = [x for x in group.elements if x != e]
+    e = group.identity
+    names = group.elements
+    mul = group.table
+    others = [x for x in range(group.order) if x != e]
     base = GenId(0, BASEPOINT_NAME)
+    # every identity-free tuple below top_dim is entered as its generator
+    # before it can occur as a face, so a miss holds an identity coordinate
+    simplex_of: dict[tuple[int, ...], Simplex] = {(): Simplex((), base)}
 
-    def tuple_gen(t) -> GenId:
-        return base if not t else GenId(len(t), ",".join(t))
-
-    def tuple_simplex(t) -> Simplex:
-        # strip identity coordinates from the right; each strip is one s_p
-        word = []
-        u = list(t)
-        while e in u:
-            p = max(i for i, x in enumerate(u) if x == e)
-            word.append(p)
-            del u[p]
-        return Simplex(tuple(word), tuple_gen(tuple(u)))
+    def face(t) -> Simplex:
+        s = simplex_of.get(t)
+        if s is None:
+            # strip identity coordinates from the right; each strip is one s_p
+            word = tuple(p for p in range(len(t) - 1, -1, -1) if t[p] == e)
+            u = tuple(x for x in t if x != e)
+            s = simplex_of[t] = Simplex(word, simplex_of[u].gen)
+        return s
 
     gens = [base]
     faces = {}
     for m in range(1, top_dim + 1):
         for t in iproduct(others, repeat=m):
-            g = tuple_gen(t)
+            g = GenId(m, ",".join([names[x] for x in t]))
             gens.append(g)
-            entries = []
-            for i in range(m + 1):
-                if i == 0:
-                    ft = t[1:]
-                elif i == m:
-                    ft = t[:-1]
-                else:
-                    ft = t[: i - 1] + (group.mul(t[i - 1], t[i]),) + t[i + 1 :]
-                entries.append(tuple_simplex(ft))
-            faces[g] = tuple(entries)
+            if m < top_dim:
+                simplex_of[t] = Simplex((), g)
+            faces[g] = (
+                face(t[1:]),
+                *[
+                    face(t[: i - 1] + (mul[t[i - 1]][t[i]],) + t[i + 1 :])
+                    for i in range(1, m)
+                ],
+                face(t[:-1]),
+            )
     label = f"nerve_{group.order}"
-    return Presentation(gens, faces, top_dim, name=label)
+    return Presentation._from_checked(gens, faces, top_dim, name=label)
 
 
 def adjoin_degeneracies(p: Presentation) -> Presentation:

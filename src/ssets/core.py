@@ -305,7 +305,6 @@ class Presentation:
         delta_style: bool = False,
         name: str | None = None,
     ):
-        by_dim: dict[int, list[GenId]] = {}
         seen: set[GenId] = set()
         for g in generators:
             if not isinstance(g, GenId):
@@ -313,28 +312,12 @@ class Presentation:
             if g in seen:
                 raise StructureError(f"duplicate generator {g}")
             seen.add(g)
-            by_dim.setdefault(g.dim, []).append(g)
-        self._by_dim: dict[int, tuple[GenId, ...]] = {
-            d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)
-        }
-        self._gens = frozenset(seen)
-        self.max_generator_dim = max(by_dim, default=0)
-        if top_dim is None:
-            top_dim = self.max_generator_dim
-        if top_dim < self.max_generator_dim:
-            raise StructureError(
-                f"top_dim {top_dim} is below the top generator dimension "
-                f"{self.max_generator_dim}"
-            )
-        self.top_dim = int(top_dim)
-        self.delta_style = bool(delta_style)
-        self.name = name
-
+        self._assemble(seen, top_dim, delta_style, name)
         table: dict[GenId, tuple[Simplex, ...]] = {}
         for g, fs in faces.items():
             if not isinstance(g, GenId):
                 raise StructureError(f"face table key {g!r} is not a GenId")
-            if g not in self._gens:
+            if g not in seen:
                 raise StructureError(f"face table entry for unknown generator {g}")
             n = g.dim
             if n == 0:
@@ -351,10 +334,45 @@ class Presentation:
                         f"face d_{i} of {g} has dimension {f.dim}, expected {n - 1}"
                     )
             table[g] = fs
-        for g in self._gens:
+        for g in seen:
             if g.dim >= 1 and g not in table:
                 raise StructureError(f"missing face entries for {g}")
         self._faces = table
+
+    @classmethod
+    def _from_checked(cls, generators, faces, top_dim, *, delta_style=False, name=None):
+        """A presentation over tables its builder has already checked.
+
+        ``generators`` is a collection of distinct ``GenId``s, and ``faces``
+        maps each of dimension n >= 1, and nothing else, to a tuple of
+        n + 1 simplices of dimension n - 1: what the public constructor
+        checks.  Only ``top_dim`` is checked here.
+        """
+        self = cls.__new__(cls)
+        self._assemble(generators, top_dim, delta_style, name)
+        self._faces = faces
+        return self
+
+    def _assemble(self, generators, top_dim, delta_style, name) -> None:
+        """Index the generators by dimension, check top_dim, set the caches."""
+        by_dim: dict[int, list[GenId]] = {}
+        for g in generators:
+            by_dim.setdefault(g.dim, []).append(g)
+        self._by_dim: dict[int, tuple[GenId, ...]] = {
+            d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)
+        }
+        self._gens = frozenset(generators)
+        self.max_generator_dim = max(by_dim, default=0)
+        if top_dim is None:
+            top_dim = self.max_generator_dim
+        if top_dim < self.max_generator_dim:
+            raise StructureError(
+                f"top_dim {top_dim} is below the top generator dimension "
+                f"{self.max_generator_dim}"
+            )
+        self.top_dim = int(top_dim)
+        self.delta_style = bool(delta_style)
+        self.name = name
         self._simplices_cache: dict[int, tuple[Simplex, ...]] = {}
         self._face_rows_cache: dict[int, tuple[tuple[Simplex, ...], ...]] = {}
         self._match_index: dict[tuple[int, tuple[int, ...]], dict] = {}

@@ -211,8 +211,8 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     def lookup(dim, n):
         return by_key.get((dim, n))
 
-    # One text -> Simplex memo per dimension.  A bare generator name is one
-    # by_key lookup (names hold no whitespace); anything else is parsed,
+    # One text -> Simplex memo per dimension, seeded with the bare names of
+    # its generators (names hold no whitespace).  Anything else is parsed,
     # and remembered only if canonical, so a normalized word warns again on
     # every line it appears on, and an error is raised by its first use.
     memos: dict[int, dict[str, Simplex]] = {}
@@ -220,13 +220,9 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     def resolve(text, dim, memo, lineno):
         simplex = memo.get(text)
         if simplex is None:
-            g = by_key.get((dim, text))
-            if g is not None:
-                simplex = memo[text] = Simplex((), g)
-            else:
-                simplex = parse_face_expression(text, dim, lookup, lineno)
-                if format_simplex(simplex) == text:
-                    memo[text] = simplex
+            simplex = parse_face_expression(text, dim, lookup, lineno)
+            if format_simplex(simplex) == text:
+                memo[text] = simplex
         return simplex
 
     faces: dict[GenId, tuple[Simplex, ...]] = {}
@@ -244,30 +240,40 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             )
         if g in faces:
             raise SemanticError(f"duplicate face entries for {gen_name!r}")
-        entries = [e.strip() for e in exprs.split(";")]
+        entries = exprs.split(";")
         if len(entries) != g.dim + 1:
             raise SemanticError(
                 f"generator {gen_name!r} needs {g.dim + 1} faces, got {len(entries)}"
             )
-        memo = memos.setdefault(g.dim - 1, {})
-        faces[g] = row = tuple(map(memo.get, entries))
+        d = g.dim - 1
+        memo = memos.get(d)
+        if memo is None:
+            memo = memos[d] = {
+                n: Simplex((), by_key[(d, n)]) for n in gens_by_dim.get(d, ())
+            }
+        faces[g] = row = tuple(map(memo.get, map(str.strip, entries)))
         if None in row:
-            faces[g] = tuple(resolve(e, g.dim - 1, memo, lineno) for e in entries)
+            faces[g] = tuple(resolve(e.strip(), d, memo, lineno) for e in entries)
     for g in by_key:
         if g.dim >= 1 and g not in faces:
             raise SemanticError(f"generator {g.name!r} has no face entries")
-    return Presentation(
+    return Presentation._from_checked(
         by_key, faces, top_dim, delta_style=(style == "delta"), name=doc_name
     )
 
 
+def _check_writable(names) -> None:
+    """Refuse the first of the generator names that the file grammar cannot hold."""
+    for n in names:
+        if not _VALID_NAME_RE.match(n):
+            raise SemanticError(
+                f"generator name {n!r} cannot be written in the file grammar"
+            )
+
+
 def _document_lines(p: Presentation):
     """Check that p can be written, then return a generator of its lines."""
-    for g in p.all_generators():
-        if not _VALID_NAME_RE.match(g.name):
-            raise SemanticError(
-                f"generator name {g.name!r} cannot be written in the file grammar"
-            )
+    _check_writable(g.name for g in p.all_generators())
     name = p.name  # it must read back: no '#', no line break, no outer whitespace
     if name and ("#" in name or name != name.strip() or len(name.splitlines()) > 1):
         raise SemanticError(

@@ -30,6 +30,9 @@ class ProductPresentation(Presentation):
 
     def __init__(self, left, right, faces, pair_of, gen_of_pair, top_dim, name):
         super().__init__(pair_of, faces, top_dim, name=name)
+        self._set_factors(left, right, pair_of, gen_of_pair)
+
+    def _set_factors(self, left, right, pair_of, gen_of_pair) -> None:
         self.left = left
         self.right = right
         self._pair_of = pair_of
@@ -73,10 +76,6 @@ def _extract_common(left, right, a, b):
         b = right.face(b, j)
 
 
-def _pair_name(a: Simplex, b: Simplex) -> str:
-    return f"({compact_simplex(a)}|{compact_simplex(b)})"
-
-
 def _word_mask(x: Simplex) -> int:
     mask = 0
     for j in x.word:
@@ -107,7 +106,9 @@ def product(x: Presentation, y: Presentation, name: str | None = None) -> Produc
 
     Faces are computed once per distinct simplex: each factor simplex's
     face row once, and each pair of component faces is put in canonical
-    pair form once, however many cells share it.
+    pair form once, however many cells share it.  Each factor simplex's
+    compact name is formatted once.  The tables are valid
+    by construction, so the result is not checked again.
     """
     pair_of: dict[GenId, tuple[Simplex, Simplex]] = {}
     gen_of_pair: dict[tuple[Simplex, Simplex], GenId] = {}
@@ -123,17 +124,22 @@ def product(x: Presentation, y: Presentation, name: str | None = None) -> Produc
         return s
 
     for n in range(x.max_generator_dim + y.max_generator_dim + 1):
-        for a, b in _compatible_pairs(x.simplices(n), y.simplices(n)):
-            g = GenId(n, _pair_name(a, b))
+        xs, ys = x.simplices(n), y.simplices(n)
+        x_names = dict(zip(xs, map(compact_simplex, xs)))
+        y_names = dict(zip(ys, map(compact_simplex, ys)))
+        for a, b in _compatible_pairs(xs, ys):
+            g = GenId(n, f"({x_names[a]}|{y_names[b]})")
             pair_of[g] = (a, b)
             gen_of_pair[(a, b)] = g
             if n:
                 faces[g] = tuple(map(pair_simplex, x_row(a), y_row(b)))
     if name is None:
         name = f"({x.name or '?'}x{y.name or '?'})"
-    return ProductPresentation(
-        x, y, faces, pair_of, gen_of_pair, x.top_dim + y.top_dim, name
+    p = ProductPresentation._from_checked(
+        pair_of, faces, x.top_dim + y.top_dim, name=name
     )
+    p._set_factors(x, y, pair_of, gen_of_pair)
+    return p
 
 
 def projections(p: ProductPresentation) -> tuple[SimplicialMap, SimplicialMap]:

@@ -9,10 +9,11 @@ engine, so agreement between the two is a real check.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product as iproduct
 from math import gcd
 
-from ssets import GenId, Presentation, Simplex, compact_simplex
+from ssets import GenId, GroupTable, Presentation, Simplex, compact_simplex
+from ssets.constructions import BASEPOINT_NAME
 from ssets.core import DDViolation
 
 
@@ -169,6 +170,81 @@ def scan_violations(p: Presentation) -> tuple[DDViolation, ...]:
                 if lhs != rhs:
                     out.append(DDViolation(g, i, j, lhs, rhs))
     return tuple(out)
+
+
+# -- face-by-face oracle for the nerve -----------------------------------------
+
+
+def facewise_nerve(group: GroupTable, top_dim: int) -> Presentation:
+    """Truncated nerve of a group, every face entry built afresh.
+
+    The reference for ``nerve``: each face tuple is multiplied with
+    ``GroupTable.mul`` on element names, turned into a new generator and a
+    new simplex, and the whole table goes through the public constructor.
+    """
+    if top_dim < 1:
+        raise ValueError("nerve truncation must be >= 1")
+    e = group.identity_name
+    others = [x for x in group.elements if x != e]
+    base = GenId(0, BASEPOINT_NAME)
+
+    def tuple_gen(t) -> GenId:
+        return base if not t else GenId(len(t), ",".join(t))
+
+    def tuple_simplex(t) -> Simplex:
+        # strip identity coordinates from the right; each strip is one s_p
+        word = []
+        u = list(t)
+        while e in u:
+            p = max(i for i, x in enumerate(u) if x == e)
+            word.append(p)
+            del u[p]
+        return Simplex(tuple(word), tuple_gen(tuple(u)))
+
+    gens = [base]
+    faces = {}
+    for m in range(1, top_dim + 1):
+        for t in iproduct(others, repeat=m):
+            g = tuple_gen(t)
+            gens.append(g)
+            entries = []
+            for i in range(m + 1):
+                if i == 0:
+                    ft = t[1:]
+                elif i == m:
+                    ft = t[:-1]
+                else:
+                    ft = t[: i - 1] + (group.mul(t[i - 1], t[i]),) + t[i + 1 :]
+                entries.append(tuple_simplex(ft))
+            faces[g] = tuple(entries)
+    return Presentation(gens, faces, top_dim, name=f"nerve_{group.order}")
+
+
+def seeded_group(group: GroupTable, seed) -> GroupTable:
+    """The same group under seeded element names and a seeded row order."""
+    rng = random.Random(seed)
+    n = group.order
+    old_of = rng.sample(range(n), n)  # old_of[k] is the old index of element k
+    pool = [a + b for a in "abcdefghijklmnopqrstuvwxyz" for b in "aeiouxyz"]
+    names = rng.sample(pool, n)
+    name_of_old = {old: names[k] for k, old in enumerate(old_of)}
+    rows = [
+        [name_of_old[group.table[old_of[k]][old_of[j]]] for j in range(n)]
+        for k in range(n)
+    ]
+    return GroupTable.from_rows(names, rows)
+
+
+def rebuilt(p: Presentation) -> Presentation:
+    """p's stored generators and face table through the public constructor.
+
+    The builders that skip the constructor's checks (the loader,
+    ``product`` and ``nerve``) must store exactly what that constructor
+    accepts and would build.
+    """
+    return Presentation(
+        p._gens, p._faces, p.top_dim, delta_style=p.delta_style, name=p.name
+    )
 
 
 # -- random ordered complexes -------------------------------------------------

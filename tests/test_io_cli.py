@@ -289,6 +289,31 @@ def test_cli_nerve_refuses_a_table_with_two_rows_for_one_element(tmp_path, capsy
     assert not out_file.exists()
 
 
+def test_cli_nerve_refuses_an_unwritable_element_name_before_building(
+    tmp_path, capsys, monkeypatch
+):
+    table = tmp_path / "klein.table"
+    table.write_text(
+        "elements e s1 s0 a\ntable e : e s1 s0 a\ntable s1 : s1 e a s0\n"
+        "table s0 : s0 a e s1\ntable a : a s0 s1 e\n"
+    )
+    out_file = tmp_path / "klein.sset"
+    built = []
+    monkeypatch.setattr(cli, "nerve", lambda *args: built.append(args))
+    code, out, err = run(
+        capsys, "nerve", "--table", table, "--top-dim", 3, "-o", out_file
+    )
+    assert (code, out, built) == (2, "", [])
+    assert err == "error: generator name 's0' cannot be written in the file grammar\n"
+    assert not out_file.exists()
+    # a bound below 1 is still refused by nerve itself, as before
+    monkeypatch.undo()
+    code, out, err = run(
+        capsys, "nerve", "--table", table, "--top-dim", 0, "-o", out_file
+    )
+    assert (code, out, err) == (2, "", "error: nerve truncation must be >= 1\n")
+
+
 # -- command-line surface -----------------------------------------------------
 
 

@@ -6,12 +6,16 @@ raise an ``SsetError`` subclass.  No ``TypeError``, ``IndexError``,
 from the value types it builds.  A mutant that loads must survive a
 save/load round trip unchanged.  Read from a file one line at a time, a
 mutant must give what its whole text gives, whatever its line breaks.
+Each mutant's outcome is pinned, byte for byte, in ``golden/parser_mutants.json``.
 """
 
+import json
 import random
 import warnings
+from hashlib import sha256
 from pathlib import Path
 
+from helpers import rebuilt
 from ssets import Presentation, SsetError
 from ssets.io import (
     dumps_presentation,
@@ -21,6 +25,7 @@ from ssets.io import (
 )
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden" / "parser_mutants.json"
 SOURCES = [p.read_text() for p in sorted(FIXTURES.glob("*.sset"))]
 CASES = 2000
 # Among this seed's mutants are two over-long degeneracy operators, which
@@ -94,6 +99,9 @@ def test_parser_mutants_load_or_raise_sset_errors():
                 continue
             loaded += 1
             assert loads_presentation(dumps_presentation(p)) == p, text
+            # the loader checks its own tables; the constructor must agree
+            q = rebuilt(p)
+            assert (q, q.name) == (p, p.name), text
     # both outcomes are exercised, so the mutations reach past the lexer
     assert loaded > CASES // 20 and refused > CASES // 20
 
@@ -130,3 +138,34 @@ def test_file_reader_matches_the_string_reader(tmp_path):
             assert path.read_bytes() == dumps_presentation(p).encode()
             saved += 1
     assert CASES // 20 < saved < CASES - CASES // 20
+
+
+def recorded_outcome(text):
+    """The loader's outcome on a text, as ``golden/parser_mutants.json`` stores it.
+
+    A refused text gives its error class, message and line; a loaded one
+    the SHA-256 of its canonical document and its name.  Both give the
+    warnings raised on the way, in order.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            p = loads_presentation(text)
+        except SsetError as exc:
+            out = {"error": type(exc).__name__, "message": str(exc),
+                   "line": getattr(exc, "line", None)}
+        else:
+            out = {"sha256": sha256(dumps_presentation(p).encode()).hexdigest(), "name": p.name}
+    out["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+    return out
+
+
+def test_parser_mutant_outcomes_are_unchanged():
+    expected = json.loads(GOLDEN.read_text())
+    assert len(expected) == CASES
+    changed = [
+        (i, want, got)
+        for i, (text, want) in enumerate(zip(mutants(SEED, CASES), expected))
+        if (got := recorded_outcome(text)) != want
+    ]
+    assert not changed, f"{len(changed)} mutants changed outcome, first (index, recorded, now): {changed[0]}"
