@@ -64,10 +64,6 @@ def _pick_basepoint(p, name):
     return verts[0]
 
 
-def _group_str(h):
-    return str(h)
-
-
 # -- subcommand handlers; each returns (payload, text_lines) ---------------
 
 
@@ -121,7 +117,7 @@ def _cmd_homology(args):
             for n, h in enumerate(groups)
         ],
     }
-    return payload, [f"H_{n} = {_group_str(h)}" for n, h in enumerate(groups)]
+    return payload, [f"H_{n} = {h}" for n, h in enumerate(groups)]
 
 
 def _cmd_euler(args):

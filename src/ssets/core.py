@@ -414,12 +414,6 @@ class Presentation:
 
     # -- the rewriting engine --------------------------------------------
 
-    def degeneracy(self, x: Simplex, i: int) -> Simplex:
-        """Return s_i x in canonical form."""
-        if not self.has_generator(x.gen):
-            raise StructureError(f"simplex over unknown generator {x.gen}")
-        return degenerate(x, i)
-
     def face(self, x: Simplex, i: int) -> Simplex:
         """Return d_i x in canonical form.
 

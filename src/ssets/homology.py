@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from .core import ConsistencyError, Presentation, Record, Simplex, TruncationError
 
-Matrix = tuple[tuple[int, ...], ...]
 Column = dict[int, int]
 
 
@@ -40,28 +39,6 @@ class ChainComplex(Record):
 
     def rank_of_chains(self, n: int) -> int:
         return len(self.bases[n]) if 0 <= n <= self.max_dim else 0
-
-    def boundary(self, n: int) -> Matrix:
-        """The boundary out of dimension n as a dense matrix, built on demand.
-
-        It has shape (len(bases[n-1]), len(bases[n])); for n = 0 it is empty.
-        """
-        if n == 0:
-            return ()
-        rows = range(len(self.bases[n - 1]))
-        return tuple(tuple(row) for row in _dense(self.boundaries[n], rows))
-
-    def verify_boundary_squares_to_zero(self) -> bool:
-        for n in range(2, self.max_dim + 1):
-            lower = self.boundaries[n - 1]
-            for col in self.boundaries[n]:
-                image: Column = {}
-                for k, v in col.items():
-                    for r, w in lower[k].items():
-                        image[r] = image.get(r, 0) + v * w
-                if any(image.values()):
-                    return False
-        return True
 
 
 def _dense(columns, row_at) -> list[list[int]]:
@@ -266,9 +243,6 @@ class HomologyGroup(Record):
                 raise ValueError("torsion coefficients must form a divisibility chain")
         if any(t <= 1 for t in self.torsion):
             raise ValueError("torsion coefficients must exceed 1")
-
-    def is_trivial(self) -> bool:
-        return self.betti == 0 and not self.torsion
 
     def __str__(self):
         parts = []

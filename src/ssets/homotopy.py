@@ -101,31 +101,17 @@ class SubPresentation(Record):
 def path_components(p: Presentation) -> tuple[tuple[GenId, ...], ...]:
     """Partition of the vertices by the closure of the edge relation.
 
-    Ends of every 1-generator are joined; the reflexive-symmetric-
-    transitive closure is taken unconditionally (it is a no-op exactly
-    when one-step paths already form an equivalence).
+    ``_partition`` joins the ends of every 1-generator; the reflexive-
+    symmetric-transitive closure is taken unconditionally (it is a no-op
+    exactly when one-step paths already form an equivalence).
     """
-    verts = list(p.generators_at(0))
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    verts = p.generators_at(0)
+    ends: dict[GenId, list[GenId]] = {}
     for e in p.generators_at(1):
-        x = Simplex((), e)
-        a = find(p.face(x, 1).gen)
-        b = find(p.face(x, 0).gen)
-        if a != b:
-            parent[b] = a
-    blocks: dict[GenId, list[GenId]] = {}
-    for v in verts:
-        blocks.setdefault(find(v), []).append(v)
-    return tuple(
-        tuple(sorted(b)) for b in sorted(blocks.values(), key=lambda b: min(b))
-    )
+        d0, d1 = p.faces_of(e)
+        ends.setdefault(d1.gen, []).append(d0.gen)
+    blocks, _ = _partition(verts, lambda v: ends.get(v, ()))
+    return tuple(tuple(verts[i] for i in block) for block in blocks)
 
 
 def component_index(components, v: GenId) -> int:
@@ -160,29 +146,21 @@ def homotopy_witness_shifted(
     return _witness(p, x, xp, r)
 
 
-def _witness(p: Presentation, x: Simplex, xp: Simplex, r: int) -> Simplex | None:
-    """The least y with the faces of ``_witness_pattern``.
-
-    Both public searches call this rather than each other, so a wrapper
-    around either one (such as a tracer) sees each search once.
-    """
-    n = x.dim
-    if xp.dim != n:
+def _check_pair(x: Simplex, xp: Simplex, a_sub) -> None:
+    if xp.dim != x.dim:
         raise ValueError("simplices must have equal dimension")
-    if not 0 <= r <= n:
-        raise ValueError(f"shift index {r} out of range")
-    _check_witness_dim(p, n)
-    if n and p.face_row(x) != p.face_row(xp):
-        return None
-    found = p.matching(n + 1, _witness_pattern(p, x, xp, r))
-    return found[0] if found else None
+    if a_sub is not None and x.dim < 1:
+        raise ValueError("relative homotopy needs dimension >= 1")
 
 
-def _check_witness_dim(p: Presentation, n: int):
-    if n + 1 > p.top_dim:
-        raise TruncationError(
-            f"witness search in dimension {n + 1} exceeds top_dim {p.top_dim}"
-        )
+def _witness(p: Presentation, x: Simplex, xp: Simplex, r: int, a_sub=None):
+    """The least witness from x to xp: the first of ``_steps`` reaching xp.
+
+    The public searches call this rather than each other, so a wrapper
+    around any one of them (such as a tracer) sees each search once.
+    """
+    _check_pair(x, xp, a_sub)
+    return next((w for w, t in _steps(p, x, r, a_sub) if t == xp), None)
 
 
 def _witness_pattern(p: Presentation, x: Simplex, xp: Simplex | None, r: int) -> list:
@@ -192,41 +170,48 @@ def _witness_pattern(p: Presentation, x: Simplex, xp: Simplex | None, r: int) ->
     return faces
 
 
-def _targets(p: Presentation, a_sub: SubPresentation | None = None):
-    """The one-step witness relation, as a function from x to what it reaches.
+def _steps(p: Presentation, x: Simplex, r: int, a_sub: SubPresentation | None = None):
+    """Each one-step witness w from x at shift r, with its target t = d_{r+1} w.
 
-    One ``matching`` query per call: the faces of s_n x with slot n+1
-    free, so d_{n+1} of each match names a target, whose boundary must be
-    that of x.  For the relative relation (``a_sub`` given) slot 0 is free
-    too, and d_0 of the match must witness d_0 x ~ d_0 t inside ``a_sub``;
-    as ``a_sub`` is face-closed, d_0 x and d_0 t then lie in it as well.
+    The one relation behind every witness and class query.  One
+    ``matching`` query: the faces of s_r x with slot r+1 free, so each
+    match names a target, whose boundary must be that of x.  For the
+    relative relation (``a_sub`` given, r = n) slot 0 is free too, and
+    d_0 w must witness d_0 x ~ d_0 t inside ``a_sub``; as ``a_sub`` is
+    face-closed, d_0 x and d_0 t then lie in it as well.
     """
+    n = x.dim
+    if not 0 <= r <= n:
+        raise ValueError(f"shift index {r} out of range")
+    if n + 1 > p.top_dim:
+        raise TruncationError(
+            f"witness search in dimension {n + 1} exceeds top_dim {p.top_dim}"
+        )
+    pattern = _witness_pattern(p, x, None, r)
+    row = p.face_row(x) if n else ()
+    lo = 0  # x and each target share faces lo..n
+    if a_sub is not None:
+        pattern[0], lo = None, 1
+    for w in p.matching(n + 1, pattern):
+        w_row = p.face_row(w)
+        y, t = w_row[0], w_row[r + 1]
+        t_row = p.face_row(t) if n else ()
+        if t_row[lo:] != row[lo:]:
+            continue
+        if a_sub is None or (
+            a_sub.contains(y)
+            and list(p.face_row(y)) == _witness_pattern(p, row[0], t_row[0], n - 1)
+        ):
+            yield w, t
 
-    def targets(x: Simplex):
-        n = x.dim
-        _check_witness_dim(p, n)
-        pattern = _witness_pattern(p, x, None, n)
-        row = p.face_row(x) if n else ()
-        lo = 0  # x and each target share faces lo..n
-        if a_sub is not None:
-            pattern[0], lo = None, 1
-        for w in p.matching(n + 1, pattern):
-            w_row = p.face_row(w)
-            y, t = w_row[0], w_row[-1]
-            t_row = p.face_row(t) if n else ()
-            if t_row[lo:] != row[lo:]:
-                continue
-            if a_sub is None or (
-                a_sub.contains(y)
-                and list(p.face_row(y)) == _witness_pattern(p, row[0], t_row[0], n - 1)
-            ):
-                yield t
 
-    return targets
+def _targets(p: Presentation, a_sub: SubPresentation | None = None):
+    """The one-step relation at shift n, as a function from x to what it reaches."""
+    return lambda x: (t for _, t in _steps(p, x, x.dim, a_sub))
 
 
 def _partition(reps, targets) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Closure of the one-step witness relation on a list of representatives.
+    """Closure of a one-step relation on a list of representatives.
 
     ``targets`` (see ``_targets``) is asked once per distinct
     representative, and not at all for a lone one; a repeated one stands
@@ -235,7 +220,7 @@ def _partition(reps, targets) -> tuple[tuple[tuple[int, ...], ...], bool]:
     the raw relation missed.
     """
     m = len(reps)
-    positions: dict[Simplex, list[int]] = {}
+    positions: dict = {}
     for i, x in enumerate(reps):
         positions.setdefault(x, []).append(i)
     raw = {(i, i) for i in range(m)}
@@ -282,22 +267,31 @@ def simplices_homotopic(p: Presentation, x: Simplex, xp: Simplex) -> bool:
     The closure runs inside the set of simplices sharing the common
     boundary; on a Kan complex it adds nothing.
     """
-    n = x.dim
-    if xp.dim != n:
-        raise ValueError("simplices must have equal dimension")
+    return _homotopic(p, None, x, xp)
+
+
+def _homotopic(p: Presentation, a_sub, x: Simplex, xp: Simplex) -> bool:
+    """Whether x and xp share a block of the closed relation on their fiber.
+
+    The fiber is the n-simplices with the boundary of x; for the relative
+    relation only faces 1..n are fixed and d_0 must lie in ``a_sub``.
+    """
+    _check_pair(x, xp, a_sub)
     if x == xp:
         return True
-    bd = p.face_row(x) if n else (None,)
-    if n and bd != p.face_row(xp):
+    n, lo = x.dim, 0 if a_sub is None else 1  # x and xp must share faces lo..n
+    bd = p.face_row(x)[lo:] if n else ()
+    if n and p.face_row(xp)[lo:] != bd:
         return False
-    fiber = p.matching(n, bd)
-    return _same_block(fiber, _targets(p), x, xp)
-
-
-def _same_block(fiber, targets, x: Simplex, xp: Simplex) -> bool:
-    partition, _ = _partition(fiber, targets)
-    ix, jx = fiber.index(x), fiber.index(xp)
-    return any(ix in block and jx in block for block in partition)
+    pattern = (None,) * (n + 1 - len(bd)) + bd
+    fiber = p.matching(n, pattern)
+    if a_sub is not None:
+        fiber = [z for z in fiber if a_sub.contains(p.face(z, 0))]
+    if x not in fiber or xp not in fiber:
+        return False
+    partition, _ = _partition(fiber, _targets(p, a_sub))
+    i, j = fiber.index(x), fiber.index(xp)
+    return any(i in block and j in block for block in partition)
 
 
 # -- homotopy groups ---------------------------------------------------------
@@ -338,18 +332,6 @@ class PiGroup(PiSet):
 
     def product(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def inverse(self, a: int) -> int:
-        for b in range(self.order):
-            if self.table[a][b] == self.identity:
-                return b
-        raise ValueError("no inverse in table")
-
-    def is_abelian(self) -> bool:
-        k = self.order
-        return all(
-            self.table[a][b] == self.table[b][a] for a in range(k) for b in range(k)
-        )
 
 
 def _product_horn(
@@ -586,24 +568,21 @@ def _check_simplex_conditions(f, g, data, bound, p, x, violations):
                     violations.append(HomotopyViolation(rule, p, i, j, x))
 
 
-def cylinder_interval_data(xy: ProductPresentation):
-    """The edge generator and (initial, final) vertices of the interval factor."""
+def _cylinder(hmap: SimplicialMap):
+    """A cylinder map's product source, interval edge and (initial, final) ends."""
+    xy = hmap.source
+    if not isinstance(xy, ProductPresentation):
+        raise ValueError("cylinder maps must have a product source")
     ones = xy.right.generators_at(1)
     if len(ones) != 1 or xy.right.max_generator_dim != 1:
         raise ValueError("right factor of the cylinder is not an interval")
-    e = ones[0]
-    x = Simplex((), e)
-    initial = xy.right.face(x, 1).gen
-    final = xy.right.face(x, 0).gen
-    return e, initial, final
+    final, initial = xy.right.faces_of(ones[0])
+    return xy, ones[0], initial.gen, final.gen
 
 
 def cylinder_endpoints(hmap: SimplicialMap) -> tuple[SimplicialMap, SimplicialMap]:
     """(f, g) with f the final-end restriction and g the initial-end one."""
-    xy = hmap.source
-    if not isinstance(xy, ProductPresentation):
-        raise ValueError("cylinder maps must have a product source")
-    _, initial, final = cylinder_interval_data(xy)
+    xy, _, initial, final = _cylinder(hmap)
     f = compose(hmap, vertex_inclusion(xy, final))
     g = compose(hmap, vertex_inclusion(xy, initial))
     return f, g
@@ -616,10 +595,7 @@ def homotopy_from_cylinder(hmap: SimplicialMap, bound: int) -> HomotopyData:
     pair of s_k x with the complementary degeneracy word on the interval
     edge.
     """
-    xy = hmap.source
-    if not isinstance(xy, ProductPresentation):
-        raise ValueError("cylinder maps must have a product source")
-    edge, _, _ = cylinder_interval_data(xy)
+    xy, edge, _, _ = _cylinder(hmap)
     x_pres = xy.left
     if bound > x_pres.top_dim:
         raise TruncationError(f"bound {bound} exceeds top_dim {x_pres.top_dim}")
@@ -645,46 +621,15 @@ def rel_homotopy_witness(
     1..n-1, and its 0-face y lies in the subcomplex, where it is a
     one-step homotopy between d_0 x and d_0 xp.
     """
-    n = x.dim
-    if xp.dim != n:
-        raise ValueError("simplices must have equal dimension")
-    if n < 1:
-        raise ValueError("relative homotopy needs dimension >= 1")
-    _check_witness_dim(p, n)
-    (d0x, *rest), (d0xp, *rest_p) = p.face_row(x), p.face_row(xp)
-    if rest != rest_p:
-        return None
-    if not (a_sub.contains(d0x) and a_sub.contains(d0xp)):
-        return None
-    pattern = _witness_pattern(p, x, xp, n)
-    pattern[0] = None
-    # y must witness d_0 x ~ d_0 xp inside the subcomplex
-    y_faces = _witness_pattern(p, d0x, d0xp, n - 1)
-    for w in p.matching(n + 1, pattern):
-        y = p.face(w, 0)
-        if a_sub.contains(y) and list(p.face_row(y)) == y_faces:
-            return w, y
-    return None
+    w = _witness(p, x, xp, x.dim, a_sub)
+    return None if w is None else (w, p.face(w, 0))
 
 
 def simplices_homotopic_rel(
     p: Presentation, a_sub: SubPresentation, x: Simplex, xp: Simplex
 ) -> bool:
     """Relative homotopy after closure over the shared-boundary fiber."""
-    n = x.dim
-    if xp.dim != n:
-        raise ValueError("simplices must have equal dimension")
-    if n < 1:
-        raise ValueError("relative homotopy needs dimension >= 1")
-    if x == xp:
-        return True
-    bd = (None,) + p.face_row(x)[1:]
-    if p.face_row(xp)[1:] != bd[1:]:
-        return False
-    fiber = [z for z in p.matching(n, bd) if a_sub.contains(p.face(z, 0))]
-    if x not in fiber or xp not in fiber:
-        return False
-    return _same_block(fiber, _targets(p, a_sub), x, xp)
+    return _homotopic(p, a_sub, x, xp)
 
 
 def pi_n_rel(

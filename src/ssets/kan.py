@@ -108,15 +108,17 @@ def _check_fillable_dim(p: Presentation, n: int):
 
 def fill_horn(p: Presentation, h: HornSpec) -> Simplex | None:
     """The lexicographically least filler, or None if no simplex fits."""
-    _check_fillable_dim(p, h.n)
-    if not horn_compatible(p, h):
-        raise ValueError(f"faces of {h.describe()} are not compatible")
-    fillers = p.matching(h.n, h.faces)
+    fillers = _fillers(p, h)
     return fillers[0] if fillers else None
 
 
 def fill_horn_all(p: Presentation, h: HornSpec) -> tuple[Simplex, ...]:
     """Every filler, in enumeration order."""
+    return _fillers(p, h)
+
+
+def _fillers(p: Presentation, h: HornSpec) -> tuple[Simplex, ...]:
+    """Every filler of a compatible horn; the two public fills share it."""
     _check_fillable_dim(p, h.n)
     if not horn_compatible(p, h):
         raise ValueError(f"faces of {h.describe()} are not compatible")

@@ -12,7 +12,15 @@ import random
 from itertools import combinations, product as iproduct
 from math import gcd
 
-from ssets import GenId, GroupTable, Presentation, Simplex, compact_simplex
+from ssets import (
+    ChainComplex,
+    GenId,
+    GroupTable,
+    Presentation,
+    Simplex,
+    compact_simplex,
+    degenerate,
+)
 from ssets.constructions import BASEPOINT_NAME
 from ssets.core import DDViolation
 
@@ -66,7 +74,43 @@ def scan_matching(p: Presentation, n: int, pattern) -> tuple[Simplex, ...]:
     )
 
 
-# -- pair-by-pair oracle for the homotopy partition ---------------------------
+# -- scan and pair-by-pair oracles for the homotopy relation ------------------
+
+
+def scan_witness(p: Presentation, x: Simplex, xp: Simplex, r: int, a_sub=None):
+    """The least one-step witness from x to xp at shift r, by a linear scan.
+
+    The reference for the witness searches: x and xp must share faces
+    0..n (1..n when ``a_sub`` is given), and a witness has the faces of
+    s_r x with xp on face r+1.  With ``a_sub``, face 0 is free instead,
+    and must lie in ``a_sub`` and have the faces of a witness from d_0 x
+    to d_0 xp at shift n-1.  Candidates come from ``scan_matching``.
+    """
+    n = x.dim
+    lo = 0 if a_sub is None else 1
+
+    def faces(z):
+        return [p.face(z, i) for i in range(z.dim + 1)] if z.dim else []
+
+    def pattern(u, up, s):
+        out = faces(degenerate(u, s))
+        out[s + 1] = up
+        return out
+
+    if faces(x)[lo:] != faces(xp)[lo:]:
+        return None
+    want = pattern(x, xp, r)
+    if a_sub is not None:
+        want[0] = None
+    for w in scan_matching(p, n + 1, want):
+        y = p.face(w, 0)
+        if a_sub is None or (
+            a_sub.contains(y) and faces(y) == pattern(p.face(x, 0), p.face(xp, 0), n - 1)
+        ):
+            return w
+    return None
+
+
 
 
 def pairwise_partition(reps, witness) -> tuple[tuple[tuple[int, ...], ...], bool]:
@@ -334,6 +378,42 @@ def swappable_generators(p: Presentation):
         if pairs:
             out.append((g, pairs))
     return out
+
+
+# -- dense views of a chain complex -------------------------------------------
+
+
+def dense_boundary(c: ChainComplex, n: int) -> tuple[tuple[int, ...], ...]:
+    """The boundary out of dimension n as a dense matrix.
+
+    It has shape (len(bases[n-1]), len(bases[n])); for n = 0 it is empty.
+    """
+    if n == 0:
+        return ()
+    m = [[0] * len(c.bases[n]) for _ in c.bases[n - 1]]
+    for j, col in enumerate(c.boundaries[n]):
+        for r, v in col.items():
+            m[r][j] = v
+    return tuple(map(tuple, m))
+
+
+def boundary_squares_to_zero(c: ChainComplex) -> bool:
+    """Whether every composite of two consecutive sparse boundaries is zero."""
+    for n in range(2, c.max_dim + 1):
+        lower = c.boundaries[n - 1]
+        for col in c.boundaries[n]:
+            image: dict[int, int] = {}
+            for k, v in col.items():
+                for r, w in lower[k].items():
+                    image[r] = image.get(r, 0) + v * w
+            if any(image.values()):
+                return False
+    return True
+
+
+def class_group(pi) -> GroupTable:
+    """The class table of a ``PiGroup`` as a ``GroupTable`` on names "0", "1", ..."""
+    return GroupTable(tuple(map(str, range(pi.order))), pi.table, pi.identity)
 
 
 # -- invariant-factor oracle via minor gcds -----------------------------------

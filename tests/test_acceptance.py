@@ -14,8 +14,10 @@ import ssets as S
 from ssets import BasedPresentation, GenId, HornSpec, Simplex
 
 from helpers import (
+    boundary_squares_to_zero,
     pairwise_partition,
     random_complex,
+    scan_witness,
     swap_faces,
     swappable_generators,
     with_generator,
@@ -254,7 +256,7 @@ def test_criterion_9_property_suites():
     ]
     for p in fixtures:
         n = min(p.top_dim, p.max_generator_dim + 1)
-        assert S.normalized_complex(p, n).verify_boundary_squares_to_zero()
+        assert boundary_squares_to_zero(S.normalized_complex(p, n))
     for p in fixtures:
         # only fixtures whose homology is computable in every degree
         n = p.max_generator_dim + 1
@@ -276,7 +278,7 @@ def test_criterion_9_property_suites():
             base_classes, _ = S.homotopy_classes(p, reps)
             for r in range(n + 1):
                 shifted, _ = pairwise_partition(
-                    reps, lambda a, b: S.homotopy_witness_shifted(p, a, b, r)
+                    reps, lambda a, b: scan_witness(p, a, b, r)
                 )
                 assert shifted == base_classes
     report(9, "confluence, mutation detection, boundary-square, Euler, shifts")

@@ -16,12 +16,14 @@ from ssets import homotopy
 
 from helpers import (
     minor_gcd_invariant_factors,
+    boundary_squares_to_zero,
     pairwise_partition,
     oracle_degeneracy,
     oracle_face,
     random_complex,
     scan_matching,
     scan_product,
+    scan_witness,
     scan_violations,
     seq_of,
     seq_to_simplex,
@@ -369,7 +371,7 @@ def test_homology_pipeline_on_random_complexes():
         p = random_complex(rng, max_vertices=6)
         top = p.max_generator_dim + 1
         chain = S.normalized_complex(p, top)
-        assert chain.verify_boundary_squares_to_zero()
+        assert boundary_squares_to_zero(chain)
         groups = S.homology(p, top)
         chi = sum((-1) ** d * g.betti for d, g in enumerate(groups))
         assert chi == S.euler_characteristic(p)
@@ -408,7 +410,7 @@ def test_partition_agrees_with_the_pairwise_oracle_on_random_complexes(seed):
         for n in range(p.top_dim - 1):
             reps = with_a_repeat(rng, p.simplices(n))
             expected = pairwise_partition(
-                reps, lambda a, b: S.homotopy_witness(p, a, b)
+                reps, lambda a, b: scan_witness(p, a, b, a.dim)
             )
             assert S.homotopy_classes(p, reps) == expected
 
@@ -419,8 +421,22 @@ def test_partition_agrees_with_the_pairwise_oracle_on_nerves(k):
     rng = random.Random(k)
     for n in range(2):
         reps = with_a_repeat(rng, p.simplices(n))
-        expected = pairwise_partition(reps, lambda a, b: S.homotopy_witness(p, a, b))
+        expected = pairwise_partition(reps, lambda a, b: scan_witness(p, a, b, a.dim))
         assert S.homotopy_classes(p, reps) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_path_components_agree_with_the_pairwise_oracle(seed):
+    # the raw relation: an edge runs from d_1 to d_0, one direction only
+    p = random_complex(random.Random(seed))
+    verts = p.generators_at(0)
+    edges = {
+        (p.face(e, 1).gen, p.face(e, 0).gen)
+        for e in (Simplex((), g) for g in p.generators_at(1))
+    }
+    blocks, _ = pairwise_partition(verts, lambda a, b: (a, b) if (a, b) in edges else None)
+    assert S.path_components(p) == tuple(tuple(verts[i] for i in b) for b in blocks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -434,6 +450,6 @@ def test_relative_partition_agrees_with_the_pairwise_oracle(seed):
         for n in range(1, p.top_dim - 1):
             reps = with_a_repeat(rng, p.simplices(n))
             expected = pairwise_partition(
-                reps, lambda u, v: S.rel_homotopy_witness(p, sub, u, v)
+                reps, lambda u, v: scan_witness(p, u, v, u.dim, sub)
             )
             assert homotopy._partition(reps, homotopy._targets(p, sub)) == expected
