@@ -1,11 +1,13 @@
 """Command-line surface.
 
 Every engine capability is exposed as a subcommand over the text file
-formats.  Exit codes separate outcomes: 0 means the computation ran and
-the mathematical answer is positive (or the command just produces
-output), 1 means the mathematics said no (validation failure, missing
-horn filler, non-homotopic simplices), and 2 means the tool could not
-run (usage, IO, parse, or truncation problems).
+formats.  Exit codes separate outcomes.  A handler returns 0 when the
+mathematical answer is positive (or the command just produces output)
+and 1 when the mathematics said no (validation failure, unfillable horn,
+non-homotopic simplices).  ``main`` turns a required horn without a
+filler into 1 with an ``obstruction:`` line, and anything that kept the
+tool from running (usage, IO, parse, truncation, refused input) into 2
+with an ``error:`` line.
 
 ``--format structured`` switches the payload to a stable JSON document;
 repeated runs over the same inputs are byte-identical.
@@ -22,7 +24,7 @@ from . import io as sio
 from .constructions import boundary as boundary_complex
 from .constructions import horn as horn_complex
 from .constructions import nerve, sphere_two_cell, standard_simplex
-from .core import NotKanError, SsetError, TruncationError, format_simplex
+from .core import NotKanError, SsetError, format_simplex
 from .groups import cyclic
 from .homology import euler_characteristic, homology
 from .homotopy import (
@@ -36,14 +38,6 @@ from .homotopy import (
 from .kan import kan_check
 from .product import product
 from .report import cw_report, delta_realization_report, incidence_export
-
-
-class _Outcome(Exception):
-    """Internal control flow: a mathematical-negative result (exit 1)."""
-
-    def __init__(self, payload, lines):
-        self.payload = payload
-        self.lines = lines
 
 
 def _load(path):
@@ -64,7 +58,7 @@ def _pick_basepoint(p, name):
     return verts[0]
 
 
-# -- subcommand handlers; each returns (payload, text_lines) ---------------
+# -- subcommand handlers; each returns (exit_code, payload, text_lines) ----
 
 
 def _cmd_validate(args):
@@ -80,11 +74,11 @@ def _cmd_validate(args):
         "valid": report.ok,
     }
     if report.ok:
-        return payload, [f"{args.file}: valid ({sum(p.generator_counts())} generators)"]
+        return 0, payload, [f"{args.file}: valid ({sum(p.generator_counts())} generators)"]
     lines = [f"{args.file}: INVALID"]
     lines += [f"  fatal: {m}" for m in report.fatal]
     lines += [f"  identity violation: {v}" for v in report.violations]
-    raise _Outcome(payload, lines)
+    return 1, payload, lines
 
 
 def _cmd_census(args):
@@ -103,7 +97,7 @@ def _cmd_census(args):
         "kind": kind,
         "count": count,
     }
-    return payload, [f"{kind} simplices in dimension {args.dim}: {count}"]
+    return 0, payload, [f"{kind} simplices in dimension {args.dim}: {count}"]
 
 
 def _cmd_homology(args):
@@ -117,13 +111,13 @@ def _cmd_homology(args):
             for n, h in enumerate(groups)
         ],
     }
-    return payload, [f"H_{n} = {h}" for n, h in enumerate(groups)]
+    return 0, payload, [f"H_{n} = {h}" for n, h in enumerate(groups)]
 
 
 def _cmd_euler(args):
     p = _load(args.file)
     chi = euler_characteristic(p)
-    return {"command": "euler", "euler": chi}, [f"euler characteristic: {chi}"]
+    return 0, {"command": "euler", "euler": chi}, [f"euler characteristic: {chi}"]
 
 
 def _cmd_kan(args):
@@ -152,10 +146,10 @@ def _cmd_kan(args):
         f"{report.max_dim}"
     )
     if report.is_kan:
-        return payload, [head, "Kan at this bound and truncation"]
+        return 0, payload, [head, "Kan at this bound and truncation"]
     lines = [head, f"{len(report.witnesses)} unfillable horns:"]
     lines += [f"  {w.describe()}" for w in report.witnesses]
-    raise _Outcome(payload, lines)
+    return 1, payload, lines
 
 
 def _cmd_pi0(args):
@@ -167,7 +161,7 @@ def _cmd_pi0(args):
     }
     lines = [f"{len(comps)} path components"]
     lines += ["  {" + ", ".join(v.name for v in block) + "}" for block in comps]
-    return payload, lines
+    return 0, payload, lines
 
 
 def _pi_payload(pi, command):
@@ -195,7 +189,7 @@ def _pi_payload(pi, command):
         for a, row in enumerate(pi.table):
             cells = "  ".join(labels[v].ljust(width) for v in row)
             lines.append(f"{labels[a].ljust(width)}  {cells}")
-    return payload, lines
+    return 0, payload, lines
 
 
 def _cmd_pi(args):
@@ -234,25 +228,28 @@ def _cmd_homotopic(args):
         "homotopic": result,
     }
     line = f"{format_simplex(x)} ~ {format_simplex(y)}: {'yes' if result else 'no'}"
-    if not result:
-        raise _Outcome(payload, [line])
-    return payload, [line]
+    return 0 if result else 1, payload, [line]
+
+
+def _wrote(args, command, p, line, **extra):
+    """Save ``p`` to ``--output`` and report it: the tail of every writing command."""
+    sio.save_presentation(p, args.output)
+    payload = {
+        "command": command,
+        "output": args.output,
+        "generators": list(p.generator_counts()),
+        "top_dim": p.top_dim,
+        **extra,
+    }
+    return 0, payload, [f"wrote {args.output}: {line}"]
 
 
 def _cmd_product(args):
     a = _load(args.left)
     b = _load(args.right)
     prod = product(a, b)
-    sio.save_presentation(prod, args.output)
-    payload = {
-        "command": "product",
-        "output": args.output,
-        "generators": list(prod.generator_counts()),
-        "top_dim": prod.top_dim,
-    }
-    return payload, [
-        f"wrote {args.output}: generators per dimension {prod.generator_counts()}"
-    ]
+    line = f"generators per dimension {prod.generator_counts()}"
+    return _wrote(args, "product", prod, line)
 
 
 def _cmd_nerve(args):
@@ -266,18 +263,8 @@ def _cmd_nerve(args):
             # unwritable, and saving checks those names in sorted order
             sio._check_writable(sorted(set(table.elements) - {table.identity_name}))
     p = nerve(table, args.top_dim)
-    sio.save_presentation(p, args.output)
-    payload = {
-        "command": "nerve",
-        "output": args.output,
-        "order": table.order,
-        "generators": list(p.generator_counts()),
-        "top_dim": p.top_dim,
-    }
-    return payload, [
-        f"wrote {args.output}: nerve of a group of order {table.order}, "
-        f"truncated at {p.top_dim}"
-    ]
+    line = f"nerve of a group of order {table.order}, truncated at {p.top_dim}"
+    return _wrote(args, "nerve", p, line, order=table.order)
 
 
 def _cmd_standard(args):
@@ -289,16 +276,8 @@ def _cmd_standard(args):
         p = horn_complex(args.horn[0], args.horn[1], top_dim=args.top_dim)
     else:
         p = sphere_two_cell(args.sphere, top_dim=args.top_dim)
-    sio.save_presentation(p, args.output)
-    payload = {
-        "command": "standard",
-        "output": args.output,
-        "generators": list(p.generator_counts()),
-        "top_dim": p.top_dim,
-    }
-    return payload, [
-        f"wrote {args.output}: generators per dimension {p.generator_counts()}"
-    ]
+    line = f"generators per dimension {p.generator_counts()}"
+    return _wrote(args, "standard", p, line)
 
 
 def _cmd_cw_report(args):
@@ -335,7 +314,7 @@ def _cmd_cw_report(args):
             for a in atts
         )
         lines.append(f"  {g.name}:{g.dim} -> {row}")
-    return payload, lines
+    return 0, payload, lines
 
 
 def _cmd_delta_report(args):
@@ -346,13 +325,13 @@ def _cmd_delta_report(args):
         "max_dim": args.max_dim,
         "cells_per_dim": list(cells),
     }
-    return payload, [f"face-only cells per dimension: {cells}"]
+    return 0, payload, [f"face-only cells per dimension: {cells}"]
 
 
 def _cmd_export_graph(args):
     p = _load(args.file)
     text = incidence_export(p)
-    return {"command": "export-graph", "dot": text}, [text.rstrip("\n")]
+    return 0, {"command": "export-graph", "dot": text}, [text.rstrip("\n")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,70 +347,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("validate", help="check the simplicial identities")
-    s.add_argument("file")
-    s.set_defaults(handler=_cmd_validate)
+    def command(name, help, handler, *positionals):
+        s = sub.add_parser(name, help=help)
+        for dest in positionals:
+            s.add_argument(dest)
+        s.set_defaults(handler=handler)
+        return s
 
-    s = sub.add_parser("census", help="count simplices in one dimension")
-    s.add_argument("file")
+    command("validate", "check the simplicial identities", _cmd_validate, "file")
+
+    s = command("census", "count simplices in one dimension", _cmd_census, "file")
     s.add_argument("--dim", type=int, required=True)
     s.add_argument("--nondegenerate", action="store_true")
-    s.set_defaults(handler=_cmd_census)
 
-    s = sub.add_parser("homology", help="integer homology groups")
-    s.add_argument("file")
+    s = command("homology", "integer homology groups", _cmd_homology, "file")
     s.add_argument("--max-dim", type=int, required=True)
-    s.set_defaults(handler=_cmd_homology)
 
-    s = sub.add_parser("euler", help="Euler characteristic")
-    s.add_argument("file")
-    s.set_defaults(handler=_cmd_euler)
+    command("euler", "Euler characteristic", _cmd_euler, "file")
 
-    s = sub.add_parser("kan", help="search for unfillable horns")
-    s.add_argument("file")
+    s = command("kan", "search for unfillable horns", _cmd_kan, "file")
     s.add_argument("--max-dim", type=int, required=True)
-    s.set_defaults(handler=_cmd_kan)
 
-    s = sub.add_parser("pi0", help="path components")
-    s.add_argument("file")
-    s.set_defaults(handler=_cmd_pi0)
+    command("pi0", "path components", _cmd_pi0, "file")
 
-    s = sub.add_parser("pi", help="homotopy group by horn filling")
-    s.add_argument("file")
+    s = command("pi", "homotopy group by horn filling", _cmd_pi, "file")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--basepoint")
     s.add_argument("--check-kan", action="store_true")
-    s.set_defaults(handler=_cmd_pi)
 
-    s = sub.add_parser("pirel", help="relative homotopy classes")
-    s.add_argument("file")
+    s = command("pirel", "relative homotopy classes", _cmd_pirel, "file")
     s.add_argument("--sub", required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--basepoint")
-    s.set_defaults(handler=_cmd_pirel)
 
-    s = sub.add_parser("homotopic", help="decide homotopy of two simplices")
-    s.add_argument("file")
+    s = command("homotopic", "decide homotopy of two simplices", _cmd_homotopic, "file")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("x")
     s.add_argument("xp")
-    s.set_defaults(handler=_cmd_homotopic)
 
-    s = sub.add_parser("product", help="categorical product of two files")
-    s.add_argument("left")
-    s.add_argument("right")
+    s = command("product", "categorical product of two files", _cmd_product, "left", "right")
     s.add_argument("-o", "--output", required=True)
-    s.set_defaults(handler=_cmd_product)
 
-    s = sub.add_parser("nerve", help="classifying-space nerve of a group")
+    s = command("nerve", "classifying-space nerve of a group", _cmd_nerve)
     grp = s.add_mutually_exclusive_group(required=True)
     grp.add_argument("--cyclic", type=int)
     grp.add_argument("--table")
     s.add_argument("--top-dim", type=int, required=True)
     s.add_argument("-o", "--output", required=True)
-    s.set_defaults(handler=_cmd_nerve)
 
-    s = sub.add_parser("standard", help="standard complexes")
+    s = command("standard", "standard complexes", _cmd_standard)
     grp = s.add_mutually_exclusive_group(required=True)
     grp.add_argument("--delta", type=int)
     grp.add_argument("--boundary", type=int)
@@ -439,20 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--sphere", type=int)
     s.add_argument("--top-dim", type=int)
     s.add_argument("-o", "--output", required=True)
-    s.set_defaults(handler=_cmd_standard)
 
-    s = sub.add_parser("cw-report", help="cell census with collapse flags")
-    s.add_argument("file")
-    s.set_defaults(handler=_cmd_cw_report)
+    command("cw-report", "cell census with collapse flags", _cmd_cw_report, "file")
 
-    s = sub.add_parser("delta-report", help="face-only cell counts")
-    s.add_argument("file")
+    s = command("delta-report", "face-only cell counts", _cmd_delta_report, "file")
     s.add_argument("--max-dim", type=int, required=True)
-    s.set_defaults(handler=_cmd_delta_report)
 
-    s = sub.add_parser("export-graph", help="incidence graph in DOT format")
-    s.add_argument("file")
-    s.set_defaults(handler=_cmd_export_graph)
+    command("export-graph", "incidence graph in DOT format", _cmd_export_graph, "file")
 
     return ap
 
@@ -469,22 +426,16 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        payload, lines = args.handler(args)
-    except _Outcome as out:
-        _emit(args, out.payload, out.lines)
-        return 1
+        code, payload, lines = args.handler(args)
     except NotKanError as exc:
         # the mathematics said no: a required horn has no filler
         print(f"obstruction: {exc}", file=sys.stderr)
         return 1
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SsetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(args, payload, lines)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

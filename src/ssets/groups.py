@@ -80,22 +80,20 @@ class GroupTable(Record):
         )
 
     @classmethod
-    def from_rows(cls, elements, rows, identity=None):
+    def from_rows(cls, elements, rows):
         """Build from rows of element names; identity found automatically."""
         elements = tuple(elements)
         idx = {e: i for i, e in enumerate(elements)}
         table = tuple(tuple(idx[v] for v in row) for row in rows)
-        if identity is None:
-            n = len(elements)
-            candidates = [
-                e
-                for e in range(n)
-                if all(table[e][i] == i and table[i][e] == i for i in range(n))
-            ]
-            if len(candidates) != 1:
-                raise ValueError("table has no unique identity element")
-            identity = candidates[0]
-        return cls(elements, table, idx[identity] if isinstance(identity, str) else identity)
+        n = len(elements)
+        candidates = [
+            e
+            for e in range(n)
+            if all(table[e][i] == i and table[i][e] == i for i in range(n))
+        ]
+        if len(candidates) != 1:
+            raise ValueError("table has no unique identity element")
+        return cls(elements, table, candidates[0])
 
 
 def cyclic(n: int) -> GroupTable:

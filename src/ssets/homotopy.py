@@ -76,12 +76,12 @@ class SubPresentation(Record):
     def contains(self, x: Simplex) -> bool:
         return x.gen in self.members
 
-    def restriction(self, top_dim: int | None = None) -> Presentation:
+    def restriction(self) -> Presentation:
         p = self.parent
         return Presentation(
             sorted(self.members),
             {g: p.faces_of(g) for g in self.members if g.dim >= 1},
-            p.top_dim if top_dim is None else top_dim,
+            p.top_dim,
             name=f"{p.name or 'sub'}|A",
         )
 

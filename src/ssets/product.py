@@ -101,7 +101,7 @@ def _compatible_pairs(xs, ys):
             yield a, b
 
 
-def product(x: Presentation, y: Presentation, name: str | None = None) -> ProductPresentation:
+def product(x: Presentation, y: Presentation) -> ProductPresentation:
     """The product presentation, truncated at the sum of the factor bounds.
 
     Faces are computed once per distinct simplex: each factor simplex's
@@ -133,10 +133,8 @@ def product(x: Presentation, y: Presentation, name: str | None = None) -> Produc
             gen_of_pair[(a, b)] = g
             if n:
                 faces[g] = tuple(map(pair_simplex, x_row(a), y_row(b)))
-    if name is None:
-        name = f"({x.name or '?'}x{y.name or '?'})"
     p = ProductPresentation._from_checked(
-        pair_of, faces, x.top_dim + y.top_dim, name=name
+        pair_of, faces, x.top_dim + y.top_dim, name=f"({x.name or '?'}x{y.name or '?'})"
     )
     p._set_factors(x, y, pair_of, gen_of_pair)
     return p
