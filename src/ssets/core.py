@@ -33,6 +33,7 @@ picklable and copyable.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -258,31 +259,22 @@ class DDViolation(Record):
         )
 
 
-class ValidationReport(Record):
+class Report(Record):
+    """Fatal problems, which stop a check before it tests any law, and violations.
+
+    Subclasses only name the check: reports of different checks are never equal.
+    """
+
     fatal: tuple[str, ...]
-    violations: tuple[DDViolation, ...]
+    violations: tuple
 
     @property
     def ok(self) -> bool:
         return not self.fatal and not self.violations
 
 
-def face_rows(p: Presentation):
-    """A function from a simplex x of p to its faces (d_0 x, ..., d_n x).
-
-    Each distinct simplex's row is computed on first request and kept
-    only by the returned function, so a caller that asks for the faces of
-    many shared simplices pays for each once and shares no state.
-    """
-    rows: dict[Simplex, tuple[Simplex, ...]] = {}
-
-    def row(x: Simplex) -> tuple[Simplex, ...]:
-        r = rows.get(x)
-        if r is None:
-            r = rows[x] = p.face_row(x)
-        return r
-
-    return row
+class ValidationReport(Report):
+    """Outcome of :meth:`Presentation.validate`; violations are :class:`DDViolation`."""
 
 
 class Presentation:
@@ -539,7 +531,8 @@ class Presentation:
         Dangling generator references are fatal and reported before any
         identity is evaluated.  Both sides are read off the face rows of
         the stored faces of each generator; those rows are computed once
-        per distinct simplex, however many generators share it.
+        per distinct simplex, however many generators share it, and kept
+        only for this call.
         """
         fatal = []
         for g in self.all_generators():
@@ -551,7 +544,7 @@ class Presentation:
         if fatal:
             return ValidationReport(tuple(fatal), ())
         violations = []
-        row = face_rows(self)
+        row = cache(self.face_row)
         for g in self.all_generators():
             if g.dim < 2:
                 continue

@@ -16,7 +16,10 @@ either phase cannot overflow.
 
 from __future__ import annotations
 
-from .core import ConsistencyError, Presentation, Record, Simplex, TruncationError
+from itertools import combinations
+from math import gcd, lcm
+
+from .core import Presentation, Record, Simplex, TruncationError
 
 Column = dict[int, int]
 
@@ -108,20 +111,19 @@ class SNFResult(Record):
 
 
 def smith_normal_form(matrix) -> SNFResult:
-    """Diagonalize an integer matrix by unimodular row/column operations.
+    """Invariant factors of an integer matrix and its rank.
 
-    Pivot choice is the smallest nonzero absolute value with row-major
-    tie-breaking, which keeps entry growth tame and the run fully
-    deterministic.
+    Unimodular row and column operations diagonalize the matrix; the
+    diagonal is then turned into invariant factors.  Pivot choice is the
+    smallest nonzero absolute value with row-major tie-breaking, which
+    keeps entry growth tame and the run fully deterministic.
     """
     a = [[int(v) for v in row] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(r) != cols for r in a):
         raise ValueError("ragged matrix")
-    t = 0
-    size = min(rows, cols)
-    while t < size:
+    for t in range(min(rows, cols)):
         pr = pc = -1
         best = None
         for r in range(t, rows):
@@ -161,25 +163,11 @@ def smith_normal_form(matrix) -> SNFResult:
                         break
             if not dirty:
                 break
-        piv = a[t][t]
-        bad = None
-        for r in range(t + 1, rows):
-            for c in range(t + 1, cols):
-                if a[r][c] % piv:
-                    bad = r
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            # fold the offending row in and redo this step
-            for c in range(t, cols):
-                a[t][c] += a[bad][c]
-            continue
-        t += 1
-    diag = [abs(a[i][i]) for i in range(size) if a[i][i]]
-    for u, v in zip(diag, diag[1:]):
-        if v % u:
-            raise ConsistencyError("invariant factors fail the divisibility chain")
+    # a diagonal presents the same group with any pair (u, v) replaced by
+    # (gcd, lcm); after the pairs (i, j > i), diag[i] divides every later entry
+    diag = [abs(a[i][i]) for i in range(min(rows, cols)) if a[i][i]]
+    for i, j in combinations(range(len(diag)), 2):
+        diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     return SNFResult(tuple(diag), len(diag))
 
 

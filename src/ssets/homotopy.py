@@ -25,6 +25,7 @@ from .core import (
     NotKanError,
     Presentation,
     Record,
+    Report,
     Simplex,
     StructureError,
     TruncationError,
@@ -477,13 +478,8 @@ class HomotopyViolation(Record):
         )
 
 
-class HomotopyReport(Record):
-    fatal: tuple[str, ...]
-    violations: tuple[HomotopyViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.fatal and not self.violations
+class HomotopyReport(Report):
+    """Outcome of :func:`verify_homotopy_data`, with :class:`HomotopyViolation`s."""
 
 
 def constant_homotopy(f: SimplicialMap, bound: int) -> HomotopyData:

@@ -85,15 +85,39 @@ def _check_name(name: str, line: int) -> str:
     raise ParseError(f"name {name!r} collides with degeneracy-operator syntax", line)
 
 
-def _logical_lines(chunks):
-    """Numbered non-blank lines of chunks of text, each split by str.splitlines."""
+def _directives(chunks, heads):
+    """``(line number, head, rest)`` of each line not blank once its comment is cut.
+
+    Lines are split by str.splitlines; a head outside ``heads`` (unless None) is refused.
+    """
     lineno = 0
     for chunk in chunks:
         for raw in chunk.splitlines():
             lineno += 1
             line = raw.split("#", 1)[0].strip()
             if line:
-                yield lineno, line
+                head, _, rest = line.partition(" ")
+                if heads is not None and head not in heads:
+                    raise ParseError(f"unknown directive {head!r}", lineno)
+                yield lineno, head, rest.strip()
+
+
+def _key_value(head: str, rest: str, line: int) -> tuple[str, str]:
+    """Split ``key : value``; the key is stripped, the value is not."""
+    key, sep, value = rest.partition(":")
+    if not sep:
+        raise ParseError(f"{head} line needs a ':'", line)
+    return key.strip(), value
+
+
+def _generator_lookup(p: Presentation):
+    """The ``lookup`` of :func:`parse_face_expression` for the generators of p."""
+
+    def lookup(dim, name):
+        g = GenId(dim, name)
+        return g if p.has_generator(g) else None
+
+    return lookup
 
 
 def parse_face_expression(
@@ -154,14 +178,10 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     top_dim = None
     gens_by_dim: dict[int, list[str]] = {}
     face_lines: list[tuple[int, str, str]] = []
-    for lineno, line in _logical_lines(chunks):
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    heads = ("faces", "name", "style", "top_dim", "generators")
+    for lineno, head, rest in _directives(chunks, heads):
         if head == "faces":  # the most common line first
-            gen_name, sep, exprs = rest.partition(":")
-            if not sep:
-                raise ParseError("faces line needs a ':'", lineno)
-            gen_name = gen_name.strip()
+            gen_name, exprs = _key_value(head, rest, lineno)
             _check_name(gen_name, lineno)
             if _EMPTY_ENTRY_RE.search(f";{exprs};"):
                 raise ParseError("empty face expression", lineno)
@@ -177,22 +197,18 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
                 top_dim = int(rest)
             except ValueError:
                 raise ParseError(f"bad top_dim {rest!r}", lineno) from None
-        elif head == "generators":
-            dim_text, sep, names = rest.partition(":")
-            if not sep:
-                raise ParseError("generators line needs a ':'", lineno)
+        else:  # generators
+            dim_text, names = _key_value(head, rest, lineno)
             try:
-                dim = int(dim_text.strip())
+                dim = int(dim_text)
             except ValueError:
-                raise ParseError(f"bad dimension {dim_text.strip()!r}", lineno) from None
+                raise ParseError(f"bad dimension {dim_text!r}", lineno) from None
             if dim < 0:
                 raise ParseError("dimension must be >= 0", lineno)
             bucket = gens_by_dim.setdefault(dim, [])
             for n in names.split():
                 _check_name(n, lineno)
                 bucket.append(n)
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
     if top_dim is None:
         raise ParseError("document is missing a top_dim line")
     # by_key maps each GenId to itself, so a (dim, name) tuple finds it; carrier
@@ -322,12 +338,7 @@ def save_presentation(p: Presentation, path) -> None:
 
 def parse_simplex(p: Presentation, text: str, dim: int) -> Simplex:
     """Parse a face expression against a presentation at a known dimension."""
-
-    def lookup(d, n):
-        g = GenId(d, n)
-        return g if p.has_generator(g) else None
-
-    return parse_face_expression(text, dim, lookup)
+    return parse_face_expression(text, dim, _generator_lookup(p))
 
 
 def loads_map(
@@ -341,23 +352,12 @@ def loads_map(
     by_name: dict[str, list[GenId]] = {}
     for g in source.all_generators():
         by_name.setdefault(g.name, []).append(g)
-
-    def lookup(dim, n):
-        g = GenId(dim, n)
-        return g if target.has_generator(g) else None
-
-    for lineno, line in _logical_lines((text,)):
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    lookup = _generator_lookup(target)
+    for lineno, head, rest in _directives((text,), ("name", "source", "target", "assign")):
         if head == "name":
             doc_name = rest or doc_name
-        elif head in ("source", "target"):
-            continue  # file references; resolved by the caller
-        elif head == "assign":
-            gen_name, sep, expr = rest.partition(":")
-            if not sep:
-                raise ParseError("assign line needs a ':'", lineno)
-            gen_name = gen_name.strip()
+        elif head == "assign":  # source and target lines are read by load_map
+            gen_name, expr = _key_value(head, rest, lineno)
             candidates = by_name.get(gen_name, [])
             if not candidates:
                 raise SemanticError(f"assignment for unknown generator {gen_name!r}")
@@ -367,19 +367,17 @@ def loads_map(
             if g in assignment:
                 raise SemanticError(f"duplicate assignment for {gen_name!r}")
             assignment[g] = parse_face_expression(expr.strip(), g.dim, lookup, lineno)
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
     return SimplicialMap(source, target, assignment, name=doc_name)
 
 
 def _referenced_files(text: str) -> dict[str, str]:
     refs = {}
-    for lineno, line in _logical_lines((text,)):
-        head, _, rest = line.partition(" ")
+    # any head passes here: loads_map refuses an unknown one after the files load
+    for lineno, head, rest in _directives((text,), None):
         if head in ("source", "target"):
-            if not rest.strip():
+            if not rest:
                 raise ParseError(f"{head} line needs a file path", lineno)
-            refs[head] = rest.strip()
+            refs[head] = rest
     return refs
 
 
@@ -406,25 +404,18 @@ def load_map(
 def loads_group_table(text: str) -> GroupTable:
     elements: tuple[str, ...] | None = None
     rows: dict[str, list[str]] = {}
-    for lineno, line in _logical_lines((text,)):
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, head, rest in _directives((text,), ("elements", "table")):
         if head == "elements":
             if elements is not None:
                 raise ParseError("duplicate elements line", lineno)
             elements = tuple(rest.split())
             if not elements:
                 raise ParseError("elements line is empty", lineno)
-        elif head == "table":
-            name, sep, values = rest.partition(":")
-            if not sep:
-                raise ParseError("table line needs a ':'", lineno)
-            name = name.strip()
+        else:
+            name, values = _key_value(head, rest, lineno)
             if name in rows:
                 raise ParseError(f"duplicate table row for {name!r}", lineno)
             rows[name] = values.split()
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
     if elements is None:
         raise ParseError("document is missing an elements line")
     try:

@@ -163,17 +163,24 @@ def kan_check(p: Presentation, max_n: int) -> KanReport:
     return KanReport(max_n, tuple(witnesses), checked)
 
 
+def _subset_face(p: Presentation, x: Simplex, vertices, keep: set[int]) -> Simplex:
+    """The face of x spanned by ``keep``; ``vertices`` labels x's vertices in order.
+
+    The others are dropped from the last down, so each index stays in place.
+    """
+    for i in reversed(range(len(vertices))):
+        if vertices[i] not in keep:
+            x = p.face(x, i)
+    return x
+
+
 def map_from_simplex(p: Presentation, z: Simplex) -> SimplicialMap:
     """The map from the standard simplex classifying z (top generator to z)."""
-    n = z.dim
-    src = standard_simplex(n)
+    src = standard_simplex(z.dim)
     assignment = {}
     for g in src.all_generators():
         keep = {int(v) for v in g.name.split(".")}
-        img = z
-        for i in sorted(set(range(n + 1)) - keep, reverse=True):
-            img = p.face(img, i)
-        assignment[g] = img
+        assignment[g] = _subset_face(p, z, range(z.dim + 1), keep)
     return SimplicialMap(src, p, assignment)
 
 
@@ -186,18 +193,10 @@ def horn_map(p: Presentation, h: HornSpec) -> SimplicialMap:
     the choice of facet irrelevant.
     """
     src = horn(h.n, h.k)
-    whole = set(range(h.n + 1))
     assignment: dict[GenId, Simplex] = {}
     for g in src.all_generators():
         keep = {int(v) for v in g.name.split(".")}
-        missing = sorted(whole - keep)
-        anchor = next(i for i in missing if i != h.k)
-        img = h.faces[anchor]
+        anchor = min(i for i in range(h.n + 1) if i not in keep and i != h.k)
         facet = [v for v in range(h.n + 1) if v != anchor]
-        drop = sorted(
-            (facet.index(v) for v in missing if v != anchor), reverse=True
-        )
-        for i in drop:
-            img = p.face(img, i)
-        assignment[g] = img
+        assignment[g] = _subset_face(p, h.faces[anchor], facet, keep)
     return SimplicialMap(src, p, assignment)

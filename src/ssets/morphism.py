@@ -14,6 +14,7 @@ from .core import (
     GenId,
     Presentation,
     Record,
+    Report,
     Simplex,
     StructureError,
     apply_word,
@@ -64,13 +65,8 @@ class FaceMismatch(Record):
         )
 
 
-class MapReport(Record):
-    fatal: tuple[str, ...]
-    violations: tuple[FaceMismatch, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.fatal and not self.violations
+class MapReport(Report):
+    """Outcome of :func:`validate_map`; violations are :class:`FaceMismatch`."""
 
 
 def apply_map(f: SimplicialMap, x: Simplex) -> Simplex:

@@ -10,6 +10,8 @@ common indices, largest first.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .core import (
     GenId,
     Presentation,
@@ -18,7 +20,6 @@ from .core import (
     StructureError,
     apply_word,
     compact_simplex,
-    face_rows,
     vertex_simplex,
 )
 from .constructions import standard_simplex, vertex_sequence
@@ -28,15 +29,8 @@ from .morphism import SimplicialMap
 class ProductPresentation(Presentation):
     """A product presentation remembering its factors and the pair encoding."""
 
-    def __init__(self, left, right, faces, pair_of, gen_of_pair, top_dim, name):
-        super().__init__(pair_of, faces, top_dim, name=name)
-        self._set_factors(left, right, pair_of, gen_of_pair)
-
-    def _set_factors(self, left, right, pair_of, gen_of_pair) -> None:
-        self.left = left
-        self.right = right
-        self._pair_of = pair_of
-        self._gen_of_pair = gen_of_pair
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a ProductPresentation is built by product(x, y)")
 
     def pair_of(self, g: GenId) -> tuple[Simplex, Simplex]:
         if not self.has_generator(g):
@@ -113,15 +107,12 @@ def product(x: Presentation, y: Presentation) -> ProductPresentation:
     pair_of: dict[GenId, tuple[Simplex, Simplex]] = {}
     gen_of_pair: dict[tuple[Simplex, Simplex], GenId] = {}
     faces: dict[GenId, tuple[Simplex, ...]] = {}
-    x_row, y_row = face_rows(x), face_rows(y)
-    canonical: dict[tuple[Simplex, Simplex], Simplex] = {}
+    x_row, y_row = cache(x.face_row), cache(y.face_row)
 
+    @cache
     def pair_simplex(a, b):
-        s = canonical.get((a, b))
-        if s is None:
-            word, a0, b0 = _extract_common(x, y, a, b)
-            s = canonical[(a, b)] = Simplex(word, gen_of_pair[(a0, b0)])
-        return s
+        word, a0, b0 = _extract_common(x, y, a, b)
+        return Simplex(word, gen_of_pair[(a0, b0)])
 
     for n in range(x.max_generator_dim + y.max_generator_dim + 1):
         xs, ys = x.simplices(n), y.simplices(n)
@@ -136,7 +127,7 @@ def product(x: Presentation, y: Presentation) -> ProductPresentation:
     p = ProductPresentation._from_checked(
         pair_of, faces, x.top_dim + y.top_dim, name=f"({x.name or '?'}x{y.name or '?'})"
     )
-    p._set_factors(x, y, pair_of, gen_of_pair)
+    p.left, p.right, p._pair_of, p._gen_of_pair = x, y, pair_of, gen_of_pair
     return p
 
 

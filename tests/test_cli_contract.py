@@ -3,8 +3,8 @@
 ``golden/cli_contract.json`` holds, for each run, the argument list, the
 exit code, stdout, stderr and the SHA-256 of every file the run wrote.
 The runs cover every subcommand on the fixtures where it applies (the
-README tour among them), one "no" (exit 1) for each command that can
-say it, and each kind of failure (exit 2): a missing file, a parse
+README tour among them, and ``pi0`` on every fixture file), one "no"
+(exit 1) for each command that can say it, and each kind of failure (exit 2): a missing file, a parse
 error, truncation and refused input.  Each run works in a fresh
 directory that holds a copy of ``fixtures/`` and the documents the
 golden file stores, so paths are relative and nothing is written into

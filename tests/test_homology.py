@@ -30,6 +30,17 @@ def test_snf_basics():
     assert S.smith_normal_form([[0, 0], [0, 0]]) == S.SNFResult((), 0)
 
 
+@pytest.mark.parametrize("matrix, factors", [
+    ([[2, 0], [0, 3]], (1, 6)),
+    ([[4, 0], [0, 6]], (2, 12)),
+    ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),
+    ([[0, 0, 15], [0, 10, 0], [6, 0, 0]], (1, 30, 30)),
+])
+def test_snf_of_a_diagonal_that_is_not_a_divisibility_chain(matrix, factors):
+    # the invariant factors of diag(u, v) are gcd(u, v) and lcm(u, v)
+    assert S.smith_normal_form(matrix) == S.SNFResult(factors, len(factors))
+
+
 def test_snf_matches_minor_gcd_oracle():
     cases = [
         [[2, 4], [6, 8]],

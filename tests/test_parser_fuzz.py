@@ -7,6 +7,13 @@ from the value types it builds.  A mutant that loads must survive a
 save/load round trip unchanged.  Read from a file one line at a time, a
 mutant must give what its whole text gives, whatever its line breaks.
 Each mutant's outcome is pinned, byte for byte, in ``golden/parser_mutants.json``.
+
+The map and group-table readers are pinned the same way, in
+``golden/reader_mutants.json``: mutants of ``collapse.smap`` read as a
+string against the ``delta2`` and ``delta1`` fixtures and from a file
+beside a copy of the fixtures (so its ``source`` and ``target`` lines
+are followed), and mutants of ``z3.table``.  Re-record that file with
+``PYTHONPATH=src python tests/test_parser_fuzz.py``.
 """
 
 import json
@@ -15,17 +22,23 @@ import warnings
 from hashlib import sha256
 from pathlib import Path
 
+import pytest
+
 from helpers import rebuilt
-from ssets import Presentation, SsetError
+from ssets import Presentation, SsetError, format_simplex
 from ssets.io import (
     dumps_presentation,
+    load_map,
     load_presentation,
+    loads_group_table,
+    loads_map,
     loads_presentation,
     save_presentation,
 )
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden" / "parser_mutants.json"
+READER_GOLDEN = Path(__file__).parent / "golden" / "reader_mutants.json"
 SOURCES = [p.read_text() for p in sorted(FIXTURES.glob("*.sset"))]
 CASES = 2000
 # Among this seed's mutants are two over-long degeneracy operators, which
@@ -56,10 +69,10 @@ def _mutate_bytes(rng, text):
     return text[:i] + rng.choice(BYTES) + text[i + 1 :]
 
 
-def _mutate_tokens(rng, text):
+def _mutate_tokens(rng, text, tokens=TOKENS):
     lines = text.splitlines()
     if not lines:
-        return rng.choice(TOKENS)
+        return rng.choice(tokens)
     k = rng.randrange(len(lines))
     kind = rng.randrange(5)
     if kind == 0:
@@ -67,23 +80,25 @@ def _mutate_tokens(rng, text):
     elif kind == 1:
         lines.insert(rng.randrange(len(lines) + 1), lines[k])
     else:
-        tokens = lines[k].split(" ")
-        j = rng.randrange(len(tokens))
+        words = lines[k].split(" ")
+        j = rng.randrange(len(words))
         if kind == 2:
-            tokens.insert(j, rng.choice(TOKENS))
+            words.insert(j, rng.choice(tokens))
         else:
-            tokens[j] = rng.choice(TOKENS if kind == 3 else text.split())
-        lines[k] = " ".join(tokens)
+            words[j] = rng.choice(tokens if kind == 3 else text.split())
+        lines[k] = " ".join(words)
     return "\n".join(lines) + "\n"
 
 
-def mutants(seed, count):
+def mutants(seed, count, sources=SOURCES, tokens=TOKENS):
     rng = random.Random(seed)
     for _ in range(count):
-        text = rng.choice(SOURCES)
+        text = rng.choice(sources)
         for _ in range(rng.randint(1, 2)):
-            mutate = _mutate_bytes if rng.random() < 0.5 else _mutate_tokens
-            text = mutate(rng, text)
+            if rng.random() < 0.5:
+                text = _mutate_bytes(rng, text)
+            else:
+                text = _mutate_tokens(rng, text, tokens)
         yield text
 
 
@@ -169,3 +184,101 @@ def test_parser_mutant_outcomes_are_unchanged():
         if (got := recorded_outcome(text)) != want
     ]
     assert not changed, f"{len(changed)} mutants changed outcome, first (index, recorded, now): {changed[0]}"
+
+
+# -- the map and group-table readers -------------------------------------------
+
+READER_CASES = 500
+MAP_TOKENS = (
+    "name", "source", "target", "assign", ":", ";", "#", "s0", "s1", "s2",
+    "s9", "s", "0", "1", "2", "0.1", "0.2", "1.2", "0.1.2", "delta1.sset",
+    "delta2.sset", "z3.table", "-1", "*", "",
+)
+TABLE_TOKENS = (
+    "elements", "table", ":", ";", "#", "e", "g", "g2", "x", "e,g", "0", "", "s0",
+)
+
+
+def _pin(load, digest, errors=SsetError, workdir=None):
+    """A reader's outcome: the error class, message and line, or ``digest(result)``.
+
+    ``workdir`` is spelled ``<dir>`` in messages, so the pins do not depend on it.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = digest(load())
+        except errors as exc:
+            message = str(exc).replace(str(workdir), "<dir>") if workdir else str(exc)
+            out = {"error": type(exc).__name__, "message": message,
+                   "line": getattr(exc, "line", None)}
+    out["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+    return out
+
+
+def _map_digest(m):
+    lines = [m.source.name, m.target.name] + [
+        f"{g.dim} {g.name} : {format_simplex(x)}" for g, x in sorted(m.assignment.items())
+    ]
+    return {"sha256": sha256("\n".join(lines).encode()).hexdigest(), "name": m.name}
+
+
+def _table_digest(t):
+    return {"sha256": sha256(repr(t).encode()).hexdigest()}
+
+
+def reader_outcomes(workdir):
+    """Every reader pin, recomputed; ``workdir`` is an empty directory."""
+    fixtures = workdir / "fixtures"
+    fixtures.mkdir()
+    for f in FIXTURES.iterdir():
+        (fixtures / f.name).write_bytes(f.read_bytes())
+    path = fixtures / "collapse.smap"
+    source = load_presentation(FIXTURES / "delta2.sset")
+    target = load_presentation(FIXTURES / "delta1.sset")
+    maps = list(mutants(SEED, READER_CASES, [path.read_text()], MAP_TOKENS))
+    tables = mutants(SEED, READER_CASES, [(FIXTURES / "z3.table").read_text()], TABLE_TOKENS)
+
+    def from_file(text):
+        path.write_text(text)
+        return load_map(path)
+
+    # a source or target line may name no file, or no file that can be opened
+    file_errors = (SsetError, OSError, ValueError)
+    return {
+        "map": [_pin(lambda: loads_map(t, source, target), _map_digest) for t in maps],
+        "map_file": [
+            _pin(lambda: from_file(t), _map_digest, file_errors, workdir) for t in maps
+        ],
+        "table": [_pin(lambda: loads_group_table(t), _table_digest) for t in tables],
+    }
+
+
+@pytest.fixture(scope="module")
+def reader_pins(tmp_path_factory):
+    return reader_outcomes(tmp_path_factory.mktemp("readers"))
+
+
+@pytest.mark.parametrize("reader", ["map", "map_file", "table"])
+def test_map_and_table_reader_outcomes_are_unchanged(reader, reader_pins):
+    expected = json.loads(READER_GOLDEN.read_text())
+    assert list(expected) == list(reader_pins)
+    assert len(expected[reader]) == READER_CASES
+    changed = [
+        (i, want, now)
+        for i, (want, now) in enumerate(zip(expected[reader], reader_pins[reader]))
+        if want != now
+    ]
+    assert not changed, f"{len(changed)} mutants changed outcome, first (index, recorded, now): {changed[0]}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        outcomes = reader_outcomes(Path(tmp))
+    # one outcome a line, as in parser_mutants.json
+    READER_GOLDEN.write_text("{\n" + ",\n".join(
+        f"{json.dumps(reader)}: [\n" + ",\n".join(json.dumps(o, sort_keys=True) for o in pins) + "\n]"
+        for reader, pins in outcomes.items()
+    ) + "\n}\n")

@@ -180,3 +180,10 @@ def test_count_nondegenerate_top_matches_brute_force(p, q):
 
 def test_count_nondegenerate_top_interval_case():
     assert [S.count_nondegenerate_top(p, 1) for p in range(5)] == [1, 2, 3, 4, 5]
+
+
+def test_only_product_builds_a_product_presentation(square):
+    with pytest.raises(TypeError, match=r"product\(x, y\)"):
+        S.ProductPresentation(square.all_generators(), {}, 2)
+    # factors and pair encoding are set on the result
+    assert (square.left, square.right) == (S.standard_simplex(1),) * 2

@@ -160,6 +160,13 @@ def test_records_of_different_classes_are_unequal():
     assert [a == b for a in reports for b in reports].count(True) == 3
 
 
+@pytest.mark.parametrize("cls", [S.ValidationReport, HomotopyReport, MapReport])
+def test_reports_share_one_record_shape(cls):
+    assert cls._fields == ("fatal", "violations")
+    assert cls(("bad",), ()).ok is False and cls((), ("v",)).ok is False
+    assert cls((), ()).ok is True
+
+
 def test_a_class_str_still_wins_over_the_repr():
     assert str(S.HomologyGroup(1, (2,))) == "Z ⊕ Z/2"
     assert str(DDViolation(E, 0, 1, v, sv)).startswith("d_0 d_1 0.1 = ")
