@@ -285,7 +285,8 @@ class Presentation:
     simplices works in every dimension (degeneracies are freely
     generated), but operations whose answer could be changed by unknown
     generators above the bound, such as horn filling, refuse to run
-    there and raise :class:`TruncationError` instead.
+    there: each asks :meth:`require_trusted`, which raises
+    :class:`TruncationError`.
     """
 
     def __init__(
@@ -522,6 +523,17 @@ class Presentation:
         return sum(
             len(gens) * math.comb(n, m) for m, gens in self._by_dim.items() if m <= n
         )
+
+    def require_trusted(self, n: int, what: str) -> None:
+        """Raise TruncationError if a search needs dimension n above ``top_dim``.
+
+        ``what`` names the need and reads before n in the message.
+        """
+        if n > self.top_dim:
+            raise TruncationError(
+                f"undecidable at this truncation: {what} {n} "
+                f"but the presentation is only trusted up to {self.top_dim}"
+            )
 
     # -- validation --------------------------------------------------------
 

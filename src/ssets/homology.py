@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd, lcm
 
-from .core import Presentation, Record, Simplex, TruncationError
+from .core import Presentation, Record, Simplex
 
 Column = dict[int, int]
 
@@ -65,10 +65,7 @@ def _column(rows) -> Column:
 def _check_max_dim(p: Presentation, max_dim: int) -> None:
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    if max_dim > p.top_dim:
-        raise TruncationError(
-            f"chain complex to dimension {max_dim} exceeds top_dim {p.top_dim}"
-        )
+    p.require_trusted(max_dim, "the chain complex reaches dimension")
 
 
 def normalized_complex(p: Presentation, max_dim: int) -> ChainComplex:

@@ -28,7 +28,6 @@ from .core import (
     Report,
     Simplex,
     StructureError,
-    TruncationError,
     degenerate,
     format_simplex,
     vertex_simplex,
@@ -106,6 +105,7 @@ def path_components(p: Presentation) -> tuple[tuple[GenId, ...], ...]:
     symmetric-transitive closure is taken unconditionally (it is a no-op
     exactly when one-step paths already form an equivalence).
     """
+    p.require_trusted(1, "path components need dimension")
     verts = p.generators_at(0)
     ends: dict[GenId, list[GenId]] = {}
     for e in p.generators_at(1):
@@ -184,10 +184,7 @@ def _steps(p: Presentation, x: Simplex, r: int, a_sub: SubPresentation | None = 
     n = x.dim
     if not 0 <= r <= n:
         raise ValueError(f"shift index {r} out of range")
-    if n + 1 > p.top_dim:
-        raise TruncationError(
-            f"witness search in dimension {n + 1} exceeds top_dim {p.top_dim}"
-        )
+    p.require_trusted(n + 1, "witnesses have dimension")
     pattern = _witness_pattern(p, x, None, r)
     row = p.face_row(x) if n else ()
     lo = 0  # x and each target share faces lo..n
@@ -335,20 +332,17 @@ class PiGroup(PiSet):
         return self.table[a][b]
 
 
+def _based_horn(based: BasedPresentation, n: int, k: int, placed) -> HornSpec:
+    """The (n+1)-horn missing face k: face i is ``placed[i]``, or the basepoint if none."""
+    star = based.basepoint_simplex(n)
+    return HornSpec.from_faces(n + 1, k, {i: placed.get(i) or star for i in range(n + 2)})
+
+
 def _product_horn(
     based: BasedPresentation, n: int, x: Simplex, y: Simplex, d0: Simplex | None = None
 ) -> HornSpec:
-    """The horn missing face n with x on face n-1, y on face n+1, d0 on face 0.
-
-    Every other face, and face 0 when d0 is not given, is the basepoint.
-    """
-    star = based.basepoint_simplex(n)
-    faces = {i: star for i in range(n + 2) if i != n}
-    if d0 is not None:
-        faces[0] = d0
-    faces[n - 1] = x
-    faces[n + 1] = y
-    return HornSpec.from_faces(n + 1, n, faces)
+    """The horn missing face n: x on face n-1, y on face n+1, d0 (if given) on face 0."""
+    return _based_horn(based, n, n, {0: d0, n - 1: x, n + 1: y})
 
 
 def pi_n(
@@ -366,10 +360,7 @@ def pi_n(
     p = based.presentation
     if n < 1:
         raise ValueError("homotopy groups start at n = 1; use path_components below")
-    if p.top_dim < n + 2:
-        raise TruncationError(
-            f"pi_{n} needs top_dim >= {n + 2}, presentation has {p.top_dim}"
-        )
+    p.require_trusted(n + 2, f"pi_{n} needs dimension")
     if require_kan_checked:
         report = kan_check(p, n + 2)
         if not report.is_kan:
@@ -432,14 +423,11 @@ def _check_group(table, identity: int):
 def _verify_horn_inverses(based: BasedPresentation, pi: PiGroup):
     """Find inverses by horn filling and require agreement with the table."""
     p, n = based.presentation, pi.n
-    star = based.basepoint_simplex(n)
     for a, block in enumerate(pi.classes):
         # right inverse: fill the horn missing face n+1, x on face n-1;
         # left inverse: the horn missing face n-1, x on face n+1
         for side, k, at in (("right", n + 1, n - 1), ("left", n - 1, n + 1)):
-            faces = {i: star for i in range(n + 2) if i != k}
-            faces[at] = pi.reps[block[0]]
-            z = fill_horn(p, HornSpec.from_faces(n + 1, k, faces))
+            z = fill_horn(p, _based_horn(based, n, k, {at: pi.reps[block[0]]}))
             if z is None:
                 raise NotKanError(f"{side}-inverse horn has no filler")
             b = pi.class_of(p.face(z, k))
@@ -593,8 +581,7 @@ def homotopy_from_cylinder(hmap: SimplicialMap, bound: int) -> HomotopyData:
     """
     xy, edge, _, _ = _cylinder(hmap)
     x_pres = xy.left
-    if bound > x_pres.top_dim:
-        raise TruncationError(f"bound {bound} exceeds top_dim {x_pres.top_dim}")
+    x_pres.require_trusted(bound, "homotopy data reaches dimension")
     values = {}
     for p in range(bound + 1):
         for x in x_pres.simplices(p):
@@ -647,9 +634,7 @@ def pi_n_rel(
         raise ValueError("subcomplex belongs to a different presentation")
     if based.basepoint not in a_sub.members:
         raise ValueError("basepoint must lie in the subcomplex")
-    needed = n + 1 if n == 1 else n + 2
-    if p.top_dim < needed:
-        raise TruncationError(f"pi_{n} relative needs top_dim >= {needed}")
+    p.require_trusted(n + 1 if n == 1 else n + 2, f"relative pi_{n} needs dimension")
     pattern = [None] + [based.basepoint_simplex(n - 1)] * n
     reps = tuple(x for x in p.matching(n, pattern) if a_sub.contains(p.face(x, 0)))
     targets = _targets(p, a_sub)

@@ -69,6 +69,7 @@ class NormalizationWarning(UserWarning):
     """A degeneracy word was rewritten into canonical order on load."""
 
 
+_MAP_HEADS = ("name", "source", "target", "assign")
 _NAME_RE = re.compile(r"[^\s;:#]+$")
 _DEGEN_RE = re.compile(r"s(\d+)$")
 # _NAME_RE and not _DEGEN_RE, in one match
@@ -88,7 +89,7 @@ def _check_name(name: str, line: int) -> str:
 def _directives(chunks, heads):
     """``(line number, head, rest)`` of each line not blank once its comment is cut.
 
-    Lines are split by str.splitlines; a head outside ``heads`` (unless None) is refused.
+    Lines are split by str.splitlines; a head outside ``heads`` is refused.
     """
     lineno = 0
     for chunk in chunks:
@@ -97,7 +98,7 @@ def _directives(chunks, heads):
             line = raw.split("#", 1)[0].strip()
             if line:
                 head, _, rest = line.partition(" ")
-                if heads is not None and head not in heads:
+                if head not in heads:
                     raise ParseError(f"unknown directive {head!r}", lineno)
                 yield lineno, head, rest.strip()
 
@@ -353,7 +354,7 @@ def loads_map(
     for g in source.all_generators():
         by_name.setdefault(g.name, []).append(g)
     lookup = _generator_lookup(target)
-    for lineno, head, rest in _directives((text,), ("name", "source", "target", "assign")):
+    for lineno, head, rest in _directives((text,), _MAP_HEADS):
         if head == "name":
             doc_name = rest or doc_name
         elif head == "assign":  # source and target lines are read by load_map
@@ -372,11 +373,12 @@ def loads_map(
 
 def _referenced_files(text: str) -> dict[str, str]:
     refs = {}
-    # any head passes here: loads_map refuses an unknown one after the files load
-    for lineno, head, rest in _directives((text,), None):
+    for lineno, head, rest in _directives((text,), _MAP_HEADS):
         if head in ("source", "target"):
             if not rest:
                 raise ParseError(f"{head} line needs a file path", lineno)
+            if "\0" in rest:
+                raise ParseError(f"{head} path holds a NUL byte", lineno)
             refs[head] = rest
     return refs
 

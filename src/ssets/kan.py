@@ -17,7 +17,6 @@ from .core import (
     Presentation,
     Record,
     Simplex,
-    TruncationError,
     format_simplex,
 )
 from .constructions import horn, standard_simplex
@@ -98,14 +97,6 @@ def _matches(p: Presentation, z: Simplex, h: HornSpec) -> bool:
     )
 
 
-def _check_fillable_dim(p: Presentation, n: int):
-    if n > p.top_dim:
-        raise TruncationError(
-            f"undecidable at this truncation: fillers have dimension {n} "
-            f"but the presentation is only trusted up to {p.top_dim}"
-        )
-
-
 def fill_horn(p: Presentation, h: HornSpec) -> Simplex | None:
     """The lexicographically least filler, or None if no simplex fits."""
     fillers = _fillers(p, h)
@@ -119,7 +110,7 @@ def fill_horn_all(p: Presentation, h: HornSpec) -> tuple[Simplex, ...]:
 
 def _fillers(p: Presentation, h: HornSpec) -> tuple[Simplex, ...]:
     """Every filler of a compatible horn; the two public fills share it."""
-    _check_fillable_dim(p, h.n)
+    p.require_trusted(h.n, "fillers have dimension")
     if not horn_compatible(p, h):
         raise ValueError(f"faces of {h.describe()} are not compatible")
     return p.matching(h.n, h.faces)
@@ -133,7 +124,7 @@ def kan_check(p: Presentation, max_n: int) -> KanReport:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    _check_fillable_dim(p, max_n)
+    p.require_trusted(max_n, "fillers have dimension")
     witnesses = []
     checked = 0
     for n in range(1, max_n + 1):
