@@ -7,11 +7,11 @@ taken literally) is also available; truncated low-degree homology of
 that complex serves as an independent cross-check of the normalization.
 
 Boundary maps are stored as sparse columns, one ``{row: coeff}`` dict
-per basis element with zero entries dropped.  Homology first eliminates
-unit (±1) pivots from those columns in one deterministic sweep and runs
-the dense Smith normal form only on the block that is left.  All
-arithmetic is exact over Python ints, so intermediate entry growth in
-either phase cannot overflow.
+per basis element with zero entries dropped.  Homology sweeps out unit
+(±1) pivots from ∂1 upwards, each sweep without the rows the one below
+pivoted on, and runs the dense Smith normal form only on the block that
+is left.  All arithmetic is exact over Python ints, so intermediate
+entry growth in either phase cannot overflow.
 """
 
 from __future__ import annotations
@@ -168,24 +168,14 @@ def smith_normal_form(matrix) -> SNFResult:
     return SNFResult(tuple(diag), len(diag))
 
 
-def sparse_smith_normal_form(columns) -> SNFResult:
-    """Smith normal form of a sparse matrix given as ``{row: coeff}`` columns.
-
-    One sweep visits the columns in order.  A column holding a ±1 entry
-    pivots on it, in the row with the fewest nonzeros (then the smallest
-    row index).  Row operations clear the rest of that column, after
-    which column operations clear the pivot row without touching any
-    other entry, so the pivot row and column are simply dropped.  Each
-    step is unimodular and contributes one invariant factor 1; the
-    columns that never pivot go to the dense ``smith_normal_form``.
-    The input columns are not modified.
-    """
-    cols = [dict(col) for col in columns]
+def _sweep(columns, drop) -> tuple[SNFResult, set[int]]:
+    """SNF of the columns less the rows in ``drop``, and the columns that pivoted."""
+    cols = [{r: v for r, v in col.items() if r not in drop} for col in columns]
     cols_in_row: dict[int, set[int]] = {}
     for c, col in enumerate(cols):
         for r in col:
             cols_in_row.setdefault(r, set()).add(c)
-    pivots = 0
+    pivoted = set()
     for c, col in enumerate(cols):
         units = [r for r, v in col.items() if v == 1 or v == -1]
         if not units:
@@ -207,11 +197,25 @@ def sparse_smith_normal_form(columns) -> SNFResult:
                     del other[r]
                     cols_in_row[r].discard(j)
         cols[c] = {}
-        pivots += 1
+        pivoted.add(c)
     left = [col for col in cols if col]
     row_at = {r: i for i, r in enumerate(sorted({r for col in left for r in col}))}
     residual = smith_normal_form(_dense(left, row_at))
-    return SNFResult((1,) * pivots + residual.factors, pivots + residual.rank)
+    factors = (1,) * len(pivoted) + residual.factors
+    return SNFResult(factors, len(factors)), pivoted
+
+
+def sparse_smith_normal_form(columns) -> SNFResult:
+    """Smith normal form of a sparse matrix given as ``{row: coeff}`` columns.
+
+    One sweep visits the columns in order.  A column holding a ±1 entry
+    pivots on it, in the row with the fewest nonzeros (then the smallest
+    row index).  Column operations clear the pivot row, after which row
+    operations clear the pivot column alone, so both are dropped: a
+    unimodular step and one invariant factor 1.  The columns that never
+    pivot go to the dense ``smith_normal_form``; the input is not modified.
+    """
+    return _sweep(columns, ())[0]
 
 
 class HomologyGroup(Record):
@@ -244,10 +248,19 @@ def homology_of_complex(c: ChainComplex) -> tuple[HomologyGroup, ...]:
 
     The top degree is not reported: the boundary arriving from one
     dimension higher is outside the complex.
+
+    ∂1, ∂2, ... are swept upwards, and ∂(n+1) loses the rows of the n-simplices
+    whose columns took a unit pivot in ∂n (the compression of Bauer, Kerber and
+    Reininghaus).  This is exact over Z.  The sweep uses column operations only,
+    and the pivot columns form a unimodular triangular system, so ker ∂n meets
+    the span of the pivot simplices only in 0.  Dropping those coordinates is
+    therefore injective on ker ∂n ⊇ im ∂(n+1), and its image is the saturated
+    kernel of the residual block: rank and torsion of every boundary are kept.
     """
-    snfs = [SNFResult((), 0)]
+    snfs, drop = [SNFResult((), 0)], set()
     for n in range(1, c.max_dim + 1):
-        snfs.append(sparse_smith_normal_form(c.boundaries[n]))
+        snf, drop = _sweep(c.boundaries[n], drop)
+        snfs.append(snf)
     out = []
     for n in range(c.max_dim):
         betti = c.rank_of_chains(n) - snfs[n].rank - snfs[n + 1].rank

@@ -121,19 +121,11 @@ def _generator_lookup(p: Presentation):
     return lookup
 
 
-def parse_face_expression(
-    text: str, dim: int, lookup, line: int | None = None
-) -> Simplex:
-    """Resolve ``s.. s.. genname`` against generators, normalizing the word.
-
-    ``dim`` is the dimension of the simplex the expression denotes; the
-    base generator dimension follows from the operator count.  ``lookup``
-    maps (dim, name) to a GenId or None.
-    """
+def _split_expression(text: str, line: int | None) -> tuple[list[int], str]:
+    """The operators and the generator name of ``s.. s.. genname``, syntax only."""
     tokens = text.split()
     if not tokens:
         raise ParseError("empty face expression", line)
-    name = tokens[-1]
     ops = []
     for tok in tokens[:-1]:
         m = _DEGEN_RE.match(tok)
@@ -144,6 +136,19 @@ def parse_face_expression(
             except ValueError:  # more digits than int() converts
                 pass
         raise ParseError(f"bad degeneracy operator {tok!r}", line)
+    return ops, tokens[-1]
+
+
+def parse_face_expression(
+    text: str, dim: int, lookup, line: int | None = None
+) -> Simplex:
+    """Resolve ``s.. s.. genname`` against generators, normalizing the word.
+
+    ``dim`` is the dimension of the simplex the expression denotes; the
+    base generator dimension follows from the operator count.  ``lookup``
+    maps (dim, name) to a GenId or None.
+    """
+    ops, name = _split_expression(text, line)
     base_dim = dim - len(ops)
     if base_dim < 0:
         raise SemanticError(
@@ -374,7 +379,9 @@ def loads_map(
 def _referenced_files(text: str) -> dict[str, str]:
     refs = {}
     for lineno, head, rest in _directives((text,), _MAP_HEADS):
-        if head in ("source", "target"):
+        if head == "assign":  # syntax only: generators are checked once files load
+            _split_expression(_key_value(head, rest, lineno)[1], lineno)
+        elif head in ("source", "target"):
             if not rest:
                 raise ParseError(f"{head} line needs a file path", lineno)
             if "\0" in rest:

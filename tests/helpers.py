@@ -16,13 +16,16 @@ from ssets import (
     ChainComplex,
     GenId,
     GroupTable,
+    HomologyGroup,
     Presentation,
+    SNFResult,
     Simplex,
     compact_simplex,
     degenerate,
 )
 from ssets.constructions import BASEPOINT_NAME
 from ssets.core import DDViolation
+from ssets.homology import sparse_smith_normal_form
 
 
 # -- monotone-sequence oracle for standard simplices -------------------------
@@ -338,6 +341,21 @@ def random_complex(rng: random.Random, max_vertices: int = 7) -> Presentation:
     return Presentation(gens, faces, top, name="random")
 
 
+def random_subcomplex(rng: random.Random, p: Presentation) -> Presentation:
+    """p less a random set of generators and every generator with a face on one.
+
+    The vertex "0" always stays, so the result is never empty.
+    """
+    gone: set[GenId] = set()
+    for g in sorted(p.all_generators(), key=lambda g: g.dim):
+        faces = p.faces_of(g) if g.dim else ()
+        if g != GenId(0, "0") and (rng.random() < 0.2 or any(f.gen in gone for f in faces)):
+            gone.add(g)
+    kept = [g for g in p.all_generators() if g not in gone]
+    faces = {g: p.faces_of(g) for g in kept if g.dim}
+    return Presentation(kept, faces, p.top_dim, delta_style=p.delta_style, name="sub")
+
+
 def with_faces(p: Presentation, changes) -> Presentation:
     """Copy of a presentation with the face entries ``{(g, i): simplex}`` replaced."""
     faces = {}
@@ -409,6 +427,27 @@ def boundary_squares_to_zero(c: ChainComplex) -> bool:
             if any(image.values()):
                 return False
     return True
+
+
+def homology_from_snfs(c: ChainComplex, snf_of) -> tuple[HomologyGroup, ...]:
+    """Homology in degrees 0..max_dim-1, ``snf_of(n)`` giving the SNF of ∂n."""
+    snfs = [SNFResult((), 0)] + [snf_of(n) for n in range(1, c.max_dim + 1)]
+    return tuple(
+        HomologyGroup(
+            c.rank_of_chains(n) - snfs[n].rank - snfs[n + 1].rank,
+            tuple(f for f in snfs[n + 1].factors if f > 1),
+        )
+        for n in range(c.max_dim)
+    )
+
+
+def uncompressed_homology(c: ChainComplex) -> tuple[HomologyGroup, ...]:
+    """Homology with each boundary swept whole by ``sparse_smith_normal_form``.
+
+    The oracle for ``homology_of_complex``, which leaves out of each sweep
+    the rows the sweep one degree below pivoted on.
+    """
+    return homology_from_snfs(c, lambda n: sparse_smith_normal_form(c.boundaries[n]))
 
 
 def class_group(pi) -> GroupTable:

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,16 @@ import pytest
 import ssets as S
 from ssets import HomologyGroup, Simplex, cli
 
-from helpers import boundary_squares_to_zero, dense_boundary, minor_gcd_invariant_factors
+from helpers import (
+    boundary_squares_to_zero,
+    dense_boundary,
+    homology_from_snfs,
+    minor_gcd_invariant_factors,
+    random_complex,
+    random_subcomplex,
+    seeded_group,
+    uncompressed_homology,
+)
 
 H = importlib.import_module("ssets.homology")  # ssets.homology is also a function
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -119,15 +129,7 @@ def test_boundary_square_check_sees_a_wrong_sign():
 
 
 def _dense_homology(c):
-    snfs = [S.SNFResult((), 0)]
-    snfs += [S.smith_normal_form(dense_boundary(c, n)) for n in range(1, c.max_dim + 1)]
-    return tuple(
-        HomologyGroup(
-            c.rank_of_chains(n) - snfs[n].rank - snfs[n + 1].rank,
-            tuple(f for f in snfs[n + 1].factors if f > 1),
-        )
-        for n in range(c.max_dim)
-    )
+    return homology_from_snfs(c, lambda n: S.smith_normal_form(dense_boundary(c, n)))
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.sset")), ids=lambda p: p.stem)
@@ -138,6 +140,46 @@ def test_homology_matches_dense_snf_on_every_fixture(path):
         dense = S.smith_normal_form(dense_boundary(c, n))
         assert H.sparse_smith_normal_form(c.boundaries[n]) == dense
     assert S.homology_of_complex(c) == _dense_homology(c)
+
+
+# -- compressed sweeps against whole sweeps --------------------------------------
+
+
+def assert_compression_is_exact(p, top):
+    c = S.normalized_complex(p, top)
+    assert S.homology_of_complex(c) == uncompressed_homology(c)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [pytest.param(g, id=label) for label, g in S.all_group_tables(6)]
+    + [pytest.param(seeded_group(g, 7), id=f"seeded-{label}")
+       for label, g in S.all_group_tables(6) if g.order == 6],
+)
+def test_compressed_homology_of_nerves_matches_whole_sweeps(group):
+    for top in range(1, 6):
+        assert_compression_is_exact(S.nerve(group, top), top)
+
+
+SMALL_FILES = [f for f in sorted(FIXTURES.glob("*.sset")) if f.stem not in ("nerve_z3", "nerve_z4")]
+
+
+@pytest.mark.parametrize("left", SMALL_FILES, ids=lambda f: f.stem)
+def test_compressed_homology_of_products_matches_whole_sweeps(left):
+    x = S.load_presentation(left)
+    for right in SMALL_FILES:
+        p = S.product(x, S.load_presentation(right))
+        assert_compression_is_exact(p, min(p.top_dim, p.max_generator_dim + 1))
+
+
+def test_compressed_homology_of_random_complexes_matches_whole_sweeps():
+    rng = random.Random(515)
+    for _ in range(40):
+        p = random_complex(rng)
+        top = p.max_generator_dim + 1
+        assert_compression_is_exact(p, top)
+        for _ in range(3):
+            assert_compression_is_exact(random_subcomplex(rng, p), top)
 
 
 def test_simplices_are_acyclic():
@@ -181,8 +223,8 @@ def test_classifying_space_of_cyclic_group(k):
 
 
 def test_classifying_space_of_s3():
-    groups = S.homology(S.nerve(S.symmetric_3(), 5), 5)
-    assert list(groups) == [Z(), Z(0, 2), ZERO, Z(0, 6), ZERO]
+    groups = S.homology(S.nerve(S.symmetric_3(), 6), 6)
+    assert list(groups) == [Z(), Z(0, 2), ZERO, Z(0, 6), ZERO, Z(0, 2)]
 
 
 def test_cli_structured_homology_of_bs3(tmp_path, capsys):

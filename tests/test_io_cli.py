@@ -260,6 +260,25 @@ def test_map_document_round_trip():
     assert m.source.name == "delta2" and m.target.name == "delta1"
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("assign 0 0", "line 4: assign line needs a ':'"),
+    ("assign 0 :  ", "line 4: empty face expression"),
+    ("assign 0 : t0 0", "line 4: bad degeneracy operator 't0'"),
+])
+@pytest.mark.parametrize("later", ["bogus line", "source missing.sset"])
+def test_map_file_reports_its_first_bad_line_before_later_lines_and_files(
+    tmp_path, bad, message, later
+):
+    lines = (FIXTURES / "collapse.smap").read_text().splitlines()
+    lines[3], lines[4] = bad, later
+    for f in ("delta1.sset", "delta2.sset"):
+        (tmp_path / f).write_bytes((FIXTURES / f).read_bytes())
+    doc = tmp_path / "bad.smap"
+    doc.write_text("\n".join(lines) + "\n")
+    with pytest.raises(sio.ParseError, match=f"^{message}$"):
+        sio.load_map(doc)
+
+
 def test_group_table_document():
     t = sio.load_group_table(FIXTURES / "z3.table")
     assert t.order == 3 and t.mul("g", "g2") == "e"

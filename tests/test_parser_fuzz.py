@@ -272,6 +272,15 @@ def test_map_and_table_reader_outcomes_are_unchanged(reader, reader_pins):
     assert not changed, f"{len(changed)} mutants changed outcome, first (index, recorded, now): {changed[0]}"
 
 
+def test_map_file_reports_a_bad_line_no_later_than_the_string_reader(reader_pins):
+    # load_map checks every line's syntax in order before it opens the source
+    # and target files, so neither a file error nor a later line comes first
+    for i, (text, file) in enumerate(zip(reader_pins["map"], reader_pins["map_file"])):
+        if text.get("error") == "ParseError" and text["line"] is not None:
+            assert file.get("error") == "ParseError", (i, text, file)
+            assert file["line"] <= text["line"], (i, text, file)
+
+
 if __name__ == "__main__":
     import tempfile
 
