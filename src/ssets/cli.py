@@ -206,7 +206,7 @@ def _cmd_pirel(args):
     for g in sub_doc.all_generators():
         if not p.has_generator(g):
             raise SsetError(f"subcomplex generator {g} is absent from the parent")
-        if g.dim >= 1 and sub_doc.faces_of(g) != p.faces_of(g):
+        if sub_doc.faces_of(g) != p.faces_of(g):
             raise SsetError(f"subcomplex faces of {g} disagree with the parent")
         members.append(g)
     sub = SubPresentation(p, frozenset(members))

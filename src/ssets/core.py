@@ -306,7 +306,7 @@ class Presentation:
                 raise StructureError(f"duplicate generator {g}")
             seen.add(g)
         self._assemble(seen, top_dim, delta_style, name)
-        table: dict[GenId, tuple[Simplex, ...]] = {}
+        table: dict[GenId, tuple[Simplex, ...]] = dict.fromkeys(self.generators_at(0), ())
         for g, fs in faces.items():
             if not isinstance(g, GenId):
                 raise StructureError(f"face table key {g!r} is not a GenId")
@@ -337,12 +337,13 @@ class Presentation:
         """A presentation over tables its builder has already checked.
 
         ``generators`` is a collection of distinct ``GenId``s, and ``faces``
-        maps each of dimension n >= 1, and nothing else, to a tuple of
-        n + 1 simplices of dimension n - 1: what the public constructor
-        checks.  Only ``top_dim`` is checked here.
+        maps each of dimension n >= 1, and nothing else, to n + 1 simplices
+        of dimension n - 1, as the public constructor checks; it is taken
+        over, with a ``()`` row added per vertex.  Only ``top_dim`` is checked.
         """
         self = cls.__new__(cls)
         self._assemble(generators, top_dim, delta_style, name)
+        faces.update(dict.fromkeys(self.generators_at(0), ()))
         self._faces = faces
         return self
 
@@ -354,7 +355,6 @@ class Presentation:
         self._by_dim: dict[int, tuple[GenId, ...]] = {
             d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)
         }
-        self._gens = frozenset(generators)
         self.max_generator_dim = max(by_dim, default=0)
         if top_dim is None:
             top_dim = self.max_generator_dim
@@ -387,23 +387,20 @@ class Presentation:
 
     def has_generator(self, g: GenId) -> bool:
         """Whether g is a generator; a plain (dim, name) tuple never is."""
-        return isinstance(g, GenId) and g in self._gens
+        return isinstance(g, GenId) and g in self._faces
 
     def generator(self, dim: int, name: str) -> GenId:
         g = GenId(dim, name)
-        if g not in self._gens:
+        if g not in self._faces:
             raise StructureError(f"no generator named {name!r} in dimension {dim}")
         return g
 
     def faces_of(self, g: GenId) -> tuple[Simplex, ...]:
-        if not isinstance(g, GenId):
+        """The stored face row of g; a vertex's is ``()``."""
+        row = self._faces.get(g) if isinstance(g, GenId) else None
+        if row is None:
             raise StructureError(f"unknown generator {g}")
-        if g.dim == 0:
-            return ()
-        try:
-            return self._faces[g]
-        except KeyError:
-            raise StructureError(f"unknown generator {g}") from None
+        return row
 
     # -- the rewriting engine --------------------------------------------
 
@@ -435,10 +432,7 @@ class Presentation:
                 i -= 1
         if gen.dim == 0:
             raise ConsistencyError(f"face operator survived to the vertex {gen}")
-        result = self._faces.get(gen)
-        if result is None:
-            raise StructureError(f"unknown generator {gen}")
-        out = result[i]
+        out = self._faces[gen][i]
         for w in reversed(outer):
             out = degenerate(out, w)
         return out
@@ -549,7 +543,7 @@ class Presentation:
         fatal = []
         for g in self.all_generators():
             for i, f in enumerate(self.faces_of(g)):
-                if f.gen not in self._gens:
+                if f.gen not in self._faces:
                     fatal.append(
                         f"face d_{i} of {g} references unknown generator {f.gen}"
                     )

@@ -98,37 +98,52 @@ def _compatible_pairs(xs, ys):
 def product(x: Presentation, y: Presentation) -> ProductPresentation:
     """The product presentation, truncated at the sum of the factor bounds.
 
-    Faces are computed once per distinct simplex: each factor simplex's
-    face row once, and each pair of component faces is put in canonical
-    pair form once, however many cells share it.  Each factor simplex's
-    compact name is formatted once.  The tables are valid
-    by construction, so the result is not checked again.
+    Each cell's pair is one tuple, kept by ``pair_of`` and ``from_pair``.  A
+    face pair with disjoint words is a cell one dimension down and maps to
+    that cell's one ``Simplex``; a pair sharing an index is put in canonical
+    form once.  Factor face rows are built over the objects of
+    ``simplices(n - 1)``; rows and memos live for one dimension.  The
+    tables are valid by construction, so the result is not checked again.
     """
     pair_of: dict[GenId, tuple[Simplex, Simplex]] = {}
     gen_of_pair: dict[tuple[Simplex, Simplex], GenId] = {}
     faces: dict[GenId, tuple[Simplex, ...]] = {}
-    x_row, y_row = cache(x.face_row), cache(y.face_row)
+    below: dict[tuple[Simplex, Simplex], Simplex] = {}
 
-    @cache
     def pair_simplex(a, b):
-        word, a0, b0 = _extract_common(x, y, a, b)
-        return Simplex(word, gen_of_pair[(a0, b0)])
+        if (a, b) not in below:
+            word, a0, b0 = _extract_common(x, y, a, b)
+            below[(a, b)] = Simplex(word, gen_of_pair[(a0, b0)])
+        return below[(a, b)]
 
     for n in range(x.max_generator_dim + y.max_generator_dim + 1):
         xs, ys = x.simplices(n), y.simplices(n)
         x_names = dict(zip(xs, map(compact_simplex, xs)))
         y_names = dict(zip(ys, map(compact_simplex, ys)))
-        for a, b in _compatible_pairs(xs, ys):
+        x_row, y_row = _row_reader(x, n), _row_reader(y, n)
+        cells = {}
+        for ab in _compatible_pairs(xs, ys):
+            a, b = ab
             g = GenId(n, f"({x_names[a]}|{y_names[b]})")
-            pair_of[g] = (a, b)
-            gen_of_pair[(a, b)] = g
+            pair_of[g] = ab
+            gen_of_pair[ab] = g
+            cells[ab] = Simplex((), g)
             if n:
-                faces[g] = tuple(map(pair_simplex, x_row(a), y_row(b)))
+                fa, fb = x_row(a), y_row(b)
+                row = tuple(map(below.get, zip(fa, fb)))
+                faces[g] = tuple(map(pair_simplex, fa, fb)) if None in row else row
+        below = cells
     p = ProductPresentation._from_checked(
         pair_of, faces, x.top_dim + y.top_dim, name=f"({x.name or '?'}x{y.name or '?'})"
     )
     p.left, p.right, p._pair_of, p._gen_of_pair = x, y, pair_of, gen_of_pair
     return p
+
+
+def _row_reader(p: Presentation, n: int):
+    """p.face_row on n-simplices over the objects of simplices(n - 1), built once each."""
+    held = {s: s for s in p.simplices(n - 1)} if n else {}
+    return cache(lambda a: tuple([held[f] for f in p.face_row(a)]))
 
 
 def projections(p: ProductPresentation) -> tuple[SimplicialMap, SimplicialMap]:

@@ -289,8 +289,13 @@ def rebuilt(p: Presentation) -> Presentation:
     ``product`` and ``nerve``) must store exactly what that constructor
     accepts and would build.
     """
+    gens = list(p.all_generators())
     return Presentation(
-        p._gens, p._faces, p.top_dim, delta_style=p.delta_style, name=p.name
+        gens,
+        {g: p.faces_of(g) for g in gens if g.dim},
+        p.top_dim,
+        delta_style=p.delta_style,
+        name=p.name,
     )
 
 

@@ -358,6 +358,19 @@ def test_plain_tuples_are_not_generators(delta1):
         sq.pair_of(tuple(g))
 
 
+def test_faces_of_refuses_an_unknown_vertex_as_it_does_an_unknown_edge(delta1):
+    # a vertex's row is stored like any other, so looking one up that the
+    # presentation lacks fails the same way
+    assert delta1.faces_of(delta1.generator(0, "0")) == ()
+    for g in (GenId(0, "nope"), GenId(1, "nope")):
+        with pytest.raises(S.StructureError, match="unknown generator"):
+            delta1.faces_of(g)
+    assert not delta1.has_generator((0, "0"))
+    assert delta1.has_generator(GenId(0, "0"))
+    with pytest.raises(S.StructureError, match="unknown generator"):
+        S.SubPresentation.closure(delta1, {GenId(0, "nope")})
+
+
 def test_simplex_tuple_order_is_not_the_enumeration_order():
     p = S.standard_simplex(2)
     listed = p.simplices(2)

@@ -429,7 +429,10 @@ def test_load_and_save_peaks_stay_near_their_results(tmp_path):
     # file.  Holding every face entry at once put the load's peak at
     # 3.06-3.14 times its result (Python 3.10-3.13), and a save built the
     # whole text, 2.7-3.7 times the file.  Read and written one line at a
-    # time they are 1.62-1.67 and 0.44-0.47.
+    # time they were 1.62-1.67 and 0.44-0.47.  On Python 3.11 the load's
+    # ratio later read 1.31, and reads 1.42 since a presentation stopped
+    # holding a set of its generators beside the face table: the result
+    # shrank by that set, the peak by less.
     p = S.product(S.standard_simplex(3), S.standard_simplex(3))
     f = tmp_path / "d3xd3.sset"
     sio.save_presentation(p, f)

@@ -1,10 +1,12 @@
 """Products, the disjoint-word criterion, prisms, and shuffle counts."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
 import ssets as S
+from ssets import io as sio
 from ssets import Simplex
 
 
@@ -187,3 +189,33 @@ def test_only_product_builds_a_product_presentation(square):
         S.ProductPresentation(square.all_generators(), {}, 2)
     # factors and pair encoding are set on the result
     assert (square.left, square.right) == (S.standard_simplex(1),) * 2
+
+
+def test_product_holds_each_pair_and_each_cell_once(tmp_path):
+    # Traced allocations of product(Δ3, Δ3), against the loader's peak on
+    # the document it saves (508-524 KiB on Python 3.11).  With each pair
+    # stored twice, every face pair kept in a cache and a set of the cells
+    # beside the face table, the product's peak was 952 KiB, 1.87 times
+    # the load's; now it is 554 KiB, 1.07 times.
+    x, y = S.standard_simplex(3), S.standard_simplex(3)
+    tracemalloc.start()
+    try:
+        p = S.product(x, y)
+        _, product_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    f = tmp_path / "d3xd3.sset"
+    sio.save_presentation(p, f)
+    tracemalloc.start()
+    try:
+        q = sio.load_presentation(f)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q == p and sum(p.generator_counts()) == 1007
+    assert product_peak < 1.5 * load_peak
+    assert all(p._pair_of[g] is ab for ab, g in p._gen_of_pair.items())
+    held: dict = {}
+    rows = [p.faces_of(g) for g in p.all_generators()]
+    assert all(held.setdefault(face, face) is face for row in rows for face in row)
+    assert sum(len(row) for row in rows) > len(held) > 0
