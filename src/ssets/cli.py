@@ -10,7 +10,8 @@ tool from running (usage, IO, parse, truncation, refused input) into 2
 with an ``error:`` line.
 
 ``--format structured`` switches the payload to a stable JSON document;
-repeated runs over the same inputs are byte-identical.
+repeated runs over the same inputs are byte-identical.  Each handler
+imports the engine modules it uses, so a job runs only those.
 """
 
 from __future__ import annotations
@@ -21,23 +22,7 @@ import sys
 import warnings
 
 from . import io as sio
-from .constructions import boundary as boundary_complex
-from .constructions import horn as horn_complex
-from .constructions import nerve, sphere_two_cell, standard_simplex
 from .core import NotKanError, SsetError, format_simplex
-from .groups import cyclic
-from .homology import euler_characteristic, homology
-from .homotopy import (
-    BasedPresentation,
-    SubPresentation,
-    path_components,
-    pi_n,
-    pi_n_rel,
-    simplices_homotopic,
-)
-from .kan import kan_check
-from .product import product
-from .report import cw_report, delta_realization_report, incidence_export
 
 
 def _load(path):
@@ -101,6 +86,7 @@ def _cmd_census(args):
 
 
 def _cmd_homology(args):
+    from .homology import homology
     p = _load(args.file)
     groups = homology(p, args.max_dim)
     payload = {
@@ -115,12 +101,14 @@ def _cmd_homology(args):
 
 
 def _cmd_euler(args):
+    from .homology import euler_characteristic
     p = _load(args.file)
     chi = euler_characteristic(p)
     return 0, {"command": "euler", "euler": chi}, [f"euler characteristic: {chi}"]
 
 
 def _cmd_kan(args):
+    from .kan import kan_check
     p = _load(args.file)
     report = kan_check(p, args.max_dim)
     payload = {
@@ -153,6 +141,7 @@ def _cmd_kan(args):
 
 
 def _cmd_pi0(args):
+    from .homotopy import path_components
     p = _load(args.file)
     comps = path_components(p)
     payload = {
@@ -193,6 +182,7 @@ def _pi_payload(pi, command):
 
 
 def _cmd_pi(args):
+    from .homotopy import BasedPresentation, pi_n
     p = _load(args.file)
     based = BasedPresentation(p, _pick_basepoint(p, args.basepoint))
     pi = pi_n(based, args.n, require_kan_checked=args.check_kan)
@@ -200,6 +190,7 @@ def _cmd_pi(args):
 
 
 def _cmd_pirel(args):
+    from .homotopy import BasedPresentation, SubPresentation, pi_n_rel
     p = _load(args.file)
     sub_doc = _load(args.sub)
     members = []
@@ -216,6 +207,7 @@ def _cmd_pirel(args):
 
 
 def _cmd_homotopic(args):
+    from .homotopy import simplices_homotopic
     p = _load(args.file)
     x = sio.parse_simplex(p, args.x, args.n)
     y = sio.parse_simplex(p, args.xp, args.n)
@@ -245,6 +237,7 @@ def _wrote(args, command, p, line, **extra):
 
 
 def _cmd_product(args):
+    from .product import product
     a = _load(args.left)
     b = _load(args.right)
     prod = product(a, b)
@@ -253,6 +246,8 @@ def _cmd_product(args):
 
 
 def _cmd_nerve(args):
+    from .constructions import nerve
+    from .groups import cyclic
     if args.cyclic is not None:
         table = cyclic(args.cyclic)
     else:
@@ -268,12 +263,13 @@ def _cmd_nerve(args):
 
 
 def _cmd_standard(args):
+    from .constructions import boundary, horn, sphere_two_cell, standard_simplex
     if args.delta is not None:
         p = standard_simplex(args.delta, top_dim=args.top_dim)
     elif args.boundary is not None:
-        p = boundary_complex(args.boundary, top_dim=args.top_dim)
+        p = boundary(args.boundary, top_dim=args.top_dim)
     elif args.horn is not None:
-        p = horn_complex(args.horn[0], args.horn[1], top_dim=args.top_dim)
+        p = horn(args.horn[0], args.horn[1], top_dim=args.top_dim)
     else:
         p = sphere_two_cell(args.sphere, top_dim=args.top_dim)
     line = f"generators per dimension {p.generator_counts()}"
@@ -281,6 +277,7 @@ def _cmd_standard(args):
 
 
 def _cmd_cw_report(args):
+    from .report import cw_report
     p = _load(args.file)
     rep = cw_report(p)
     payload = {
@@ -318,6 +315,7 @@ def _cmd_cw_report(args):
 
 
 def _cmd_delta_report(args):
+    from .report import delta_realization_report
     p = _load(args.file)
     cells = delta_realization_report(p, args.max_dim)
     payload = {
@@ -329,6 +327,7 @@ def _cmd_delta_report(args):
 
 
 def _cmd_export_graph(args):
+    from .report import incidence_export
     p = _load(args.file)
     text = incidence_export(p)
     return 0, {"command": "export-graph", "dot": text}, [text.rstrip("\n")]

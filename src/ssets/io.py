@@ -48,8 +48,7 @@ from .core import (
     apply_word,
     format_simplex,
 )
-from .groups import GroupTable
-from .morphism import SimplicialMap
+from . import groups, morphism  # only the map and group-table readers run them
 
 
 class ParseError(SsetError):
@@ -352,7 +351,7 @@ def loads_map(
     source: Presentation,
     target: Presentation,
     name: str | None = None,
-) -> SimplicialMap:
+) -> morphism.SimplicialMap:
     doc_name = name
     assignment: dict[GenId, Simplex] = {}
     by_name: dict[str, list[GenId]] = {}
@@ -373,7 +372,7 @@ def loads_map(
             if g in assignment:
                 raise SemanticError(f"duplicate assignment for {gen_name!r}")
             assignment[g] = parse_face_expression(expr.strip(), g.dim, lookup, lineno)
-    return SimplicialMap(source, target, assignment, name=doc_name)
+    return morphism.SimplicialMap(source, target, assignment, name=doc_name)
 
 
 def _referenced_files(text: str) -> dict[str, str]:
@@ -394,7 +393,7 @@ def load_map(
     path,
     source: Presentation | None = None,
     target: Presentation | None = None,
-) -> SimplicialMap:
+) -> morphism.SimplicialMap:
     """Load a map document, resolving source/target files relative to it."""
     path = Path(path)
     text = path.read_text()
@@ -410,7 +409,7 @@ def load_map(
     return loads_map(text, source, target, name=path.stem)
 
 
-def loads_group_table(text: str) -> GroupTable:
+def loads_group_table(text: str) -> groups.GroupTable:
     elements: tuple[str, ...] | None = None
     rows: dict[str, list[str]] = {}
     for lineno, head, rest in _directives((text,), ("elements", "table")):
@@ -440,10 +439,10 @@ def loads_group_table(text: str) -> GroupTable:
             if v not in elements:
                 raise SemanticError(f"unknown element {v!r} in table row for {e!r}")
     try:
-        return GroupTable.from_rows(elements, ordered)
+        return groups.GroupTable.from_rows(elements, ordered)
     except ValueError as exc:
         raise SemanticError(f"invalid group table: {exc}") from exc
 
 
-def load_group_table(path) -> GroupTable:
+def load_group_table(path) -> groups.GroupTable:
     return loads_group_table(Path(path).read_text())

@@ -318,7 +318,7 @@ def test_cli_nerve_refuses_an_unwritable_element_name_before_building(
     )
     out_file = tmp_path / "klein.sset"
     built = []
-    monkeypatch.setattr(cli, "nerve", lambda *args: built.append(args))
+    monkeypatch.setattr("ssets.constructions.nerve", lambda *args: built.append(args))
     code, out, err = run(
         capsys, "nerve", "--table", table, "--top-dim", 3, "-o", out_file
     )

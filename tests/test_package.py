@@ -3,10 +3,13 @@
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import ssets
 
@@ -86,3 +89,135 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     assert run.returncode == 0, run.stderr
     spans = json.loads(out.read_text())["spans"]
     assert "cli.main" in {s[0] for s in spans}
+
+
+# Executed modules are plain ModuleType; a registered module whose code has
+# not run is of a subclass.  type() reads the class without running anything.
+EXECUTED = (
+    "sorted(n for n, m in sys.modules.items()"
+    " if n.startswith('ssets') and type(m) is types.ModuleType)"
+)
+
+# each subcommand on a fixture, and the engine modules its job executes
+SUBCOMMAND_MODULES = [
+    (["validate", "fixtures/delta2.sset"], "core io"),
+    (["census", "fixtures/delta1.sset", "--dim", "5"], "core io"),
+    (["homology", "fixtures/nerve_z2.sset", "--max-dim", "4"], "core homology io"),
+    (["euler", "fixtures/sphere2.sset"], "core homology io"),
+    (["kan", "fixtures/delta1.sset", "--max-dim", "2"],
+     "constructions core groups io kan morphism"),
+    (["pi0", "fixtures/circle2.sset"],
+     "constructions core groups homotopy io kan morphism product"),
+    (["pi", "fixtures/nerve_z3.sset", "--n", "1"],
+     "constructions core groups homotopy io kan morphism product"),
+    (["pirel", "fixtures/nerve_z4.sset", "--sub", "fixtures/nerve_z4_sub2.sset", "--n", "1"],
+     "constructions core groups homotopy io kan morphism product"),
+    (["homotopic", "fixtures/nerve_z2.sset", "--n", "1", "g", "s0 *"],
+     "constructions core groups homotopy io kan morphism product"),
+    (["product", "fixtures/delta1.sset", "fixtures/delta1.sset", "-o", "{out}"],
+     "constructions core groups io morphism product"),
+    (["nerve", "--table", "fixtures/z3.table", "--top-dim", "3", "-o", "{out}"],
+     "constructions core groups io"),
+    (["standard", "--boundary", "3", "-o", "{out}"], "constructions core groups io"),
+    (["cw-report", "fixtures/sphere2.sset"], "core homology io report"),
+    (["delta-report", "fixtures/cone.sset", "--max-dim", "2"], "core homology io report"),
+    (["export-graph", "fixtures/delta2.sset"], "core homology io report"),
+]
+
+
+def test_importing_the_package_executes_no_submodule():
+    code = f"import sys, types, ssets; print({EXECUTED})"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "['ssets']\n"
+
+
+# runs the CLI as ``python -m ssets.cli`` does, then lists what it executed
+RUN_CLI = f"""
+import json, runpy, sys, types
+try:
+    runpy.run_module("ssets.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code in (0, 1), exc.code
+print(json.dumps({EXECUTED}), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,modules", SUBCOMMAND_MODULES, ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES]
+)
+def test_each_subcommand_executes_only_the_modules_it_uses(tmp_path, argv, modules):
+    argv = [a.format(out=tmp_path / "out.sset") for a in argv]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, "--format", "structured", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+    )
+    ran = json.loads(run.stderr)
+    assert ran == ["ssets"] + [f"ssets.{m}" for m in modules.split()]
+
+
+FIRST_TOUCH = """
+import sys, threading
+sys.setswitchinterval(1e-6)
+import ssets
+
+mod, attr = sys.argv[1], sys.argv[2]
+barrier, errors = threading.Barrier(8), []
+
+def touch(i):
+    barrier.wait()
+    try:
+        m = getattr(ssets, mod) if i % 2 else sys.modules["ssets." + mod]
+        getattr(m, attr)
+    except BaseException as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=touch, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(sum(t.is_alive() for t in threads), errors)
+"""
+
+
+@pytest.mark.parametrize(
+    "mod,attr",
+    [("constructions", "nerve"), ("homotopy", "pi_n"), ("kan", "kan_check"),
+     ("report", "cw_report"), ("io", "load_map")],
+)
+def test_threads_touching_a_deferred_module_first_all_see_it_whole(mod, attr):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", FIRST_TOUCH, mod, attr],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout == "0 []\n", out.stdout + out.stderr
+
+
+UNPICKLE = """
+import pickle, sys, types
+assert not [n for n in sys.modules if n.startswith("ssets")]
+x, g, p = pickle.load(sys.stdin.buffer)
+print(x, g, p.generator_counts(), p.validate().ok)
+import ssets.homology, ssets.product
+assert ssets.homology is sys.modules["ssets.homology"].homology
+assert ssets.product is sys.modules["ssets.product"].product
+assert isinstance(ssets.homology, types.FunctionType)
+assert isinstance(ssets.product, types.FunctionType)
+assert ssets.core is sys.modules["ssets.core"]
+"""
+
+
+def test_a_fresh_process_unpickles_through_the_deferred_modules():
+    p = ssets.load_presentation(ROOT / "fixtures" / "nerve_z3.sset")
+    x, g = p.simplices(2)[-1], p.generators_at(1)[-1]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", UNPICKLE], input=pickle.dumps((x, g, p)),
+        env=env, capture_output=True, check=True,
+    )
+    assert out.stdout.decode() == f"{x} {g} {p.generator_counts()} True\n"
