@@ -11,6 +11,7 @@ bound.
 from __future__ import annotations
 
 from itertools import combinations, product as iproduct
+from typing import TYPE_CHECKING
 
 from .core import (
     GenId,
@@ -19,7 +20,9 @@ from .core import (
     StructureError,
     vertex_simplex,
 )
-from .groups import GroupTable
+
+if TYPE_CHECKING:
+    from .groups import GroupTable
 
 
 def _subset_name(subset) -> str:

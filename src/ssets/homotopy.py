@@ -17,7 +17,7 @@ cross-checked against the resulting multiplication table.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .core import (
     ConsistencyError,
@@ -34,8 +34,9 @@ from .core import (
 )
 from .groups import GroupTable
 from .kan import HornSpec, fill_horn, fill_horn_all, kan_check
-from .morphism import SimplicialMap, apply_map, compose
-from .product import ProductPresentation, vertex_inclusion
+
+if TYPE_CHECKING:
+    from .morphism import SimplicialMap
 
 
 class BasedPresentation(Record):
@@ -472,6 +473,7 @@ class HomotopyReport(Report):
 
 def constant_homotopy(f: SimplicialMap, bound: int) -> HomotopyData:
     """The homotopy from f to itself: h_i = s_i after f."""
+    from .morphism import apply_map
     values = {}
     for p in range(bound + 1):
         for x in f.source.simplices(p):
@@ -513,6 +515,7 @@ class _BadLevel(Exception):
 
 
 def _check_simplex_conditions(f, g, data, bound, p, x, violations):
+    from .morphism import apply_map
     x_pres, y_pres = f.source, f.target
     hs = [data.h(i, x) for i in range(p + 1)]
     if any(y.dim != p + 1 for y in hs):
@@ -554,6 +557,7 @@ def _check_simplex_conditions(f, g, data, bound, p, x, violations):
 
 def _cylinder(hmap: SimplicialMap):
     """A cylinder map's product source, interval edge and (initial, final) ends."""
+    from .product import ProductPresentation
     xy = hmap.source
     if not isinstance(xy, ProductPresentation):
         raise ValueError("cylinder maps must have a product source")
@@ -566,6 +570,8 @@ def _cylinder(hmap: SimplicialMap):
 
 def cylinder_endpoints(hmap: SimplicialMap) -> tuple[SimplicialMap, SimplicialMap]:
     """(f, g) with f the final-end restriction and g the initial-end one."""
+    from .morphism import compose
+    from .product import vertex_inclusion
     xy, _, initial, final = _cylinder(hmap)
     f = compose(hmap, vertex_inclusion(xy, final))
     g = compose(hmap, vertex_inclusion(xy, initial))
@@ -579,6 +585,7 @@ def homotopy_from_cylinder(hmap: SimplicialMap, bound: int) -> HomotopyData:
     pair of s_k x with the complementary degeneracy word on the interval
     edge.
     """
+    from .morphism import apply_map
     xy, edge, _, _ = _cylinder(hmap)
     x_pres = xy.left
     x_pres.require_trusted(bound, "homotopy data reaches dimension")

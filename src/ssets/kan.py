@@ -10,7 +10,7 @@ could be a truncation artifact rather than a mathematical fact.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .core import (
     GenId,
@@ -19,8 +19,9 @@ from .core import (
     Simplex,
     format_simplex,
 )
-from .constructions import horn, standard_simplex
-from .morphism import SimplicialMap
+
+if TYPE_CHECKING:
+    from .morphism import SimplicialMap
 
 
 class HornSpec(Record):
@@ -167,6 +168,8 @@ def _subset_face(p: Presentation, x: Simplex, vertices, keep: set[int]) -> Simpl
 
 def map_from_simplex(p: Presentation, z: Simplex) -> SimplicialMap:
     """The map from the standard simplex classifying z (top generator to z)."""
+    from .constructions import standard_simplex
+    from .morphism import SimplicialMap
     src = standard_simplex(z.dim)
     assignment = {}
     for g in src.all_generators():
@@ -183,6 +186,8 @@ def horn_map(p: Presentation, h: HornSpec) -> SimplicialMap:
     any assigned facet containing it.  Compatibility of the horn makes
     the choice of facet irrelevant.
     """
+    from .constructions import horn
+    from .morphism import SimplicialMap
     src = horn(h.n, h.k)
     assignment: dict[GenId, Simplex] = {}
     for g in src.all_generators():

@@ -11,6 +11,7 @@ common indices, largest first.
 from __future__ import annotations
 
 from functools import cache
+from typing import TYPE_CHECKING
 
 from .core import (
     GenId,
@@ -22,8 +23,9 @@ from .core import (
     compact_simplex,
     vertex_simplex,
 )
-from .constructions import standard_simplex, vertex_sequence
-from .morphism import SimplicialMap
+
+if TYPE_CHECKING:
+    from .morphism import SimplicialMap
 
 
 class ProductPresentation(Presentation):
@@ -118,13 +120,12 @@ def product(x: Presentation, y: Presentation) -> ProductPresentation:
 
     for n in range(x.max_generator_dim + y.max_generator_dim + 1):
         xs, ys = x.simplices(n), y.simplices(n)
-        x_names = dict(zip(xs, map(compact_simplex, xs)))
-        y_names = dict(zip(ys, map(compact_simplex, ys)))
+        x_name, y_name = cache(compact_simplex), cache(compact_simplex)
         x_row, y_row = _row_reader(x, n), _row_reader(y, n)
         cells = {}
         for ab in _compatible_pairs(xs, ys):
             a, b = ab
-            g = GenId(n, f"({x_names[a]}|{y_names[b]})")
+            g = GenId(n, f"({x_name(a)}|{y_name(b)})")
             pair_of[g] = ab
             gen_of_pair[ab] = g
             cells[ab] = Simplex((), g)
@@ -148,6 +149,7 @@ def _row_reader(p: Presentation, n: int):
 
 def projections(p: ProductPresentation) -> tuple[SimplicialMap, SimplicialMap]:
     """The two componentwise projection maps."""
+    from .morphism import SimplicialMap
     first = {g: p.pair_of(g)[0] for g in p.all_generators()}
     second = {g: p.pair_of(g)[1] for g in p.all_generators()}
     return (
@@ -158,6 +160,7 @@ def projections(p: ProductPresentation) -> tuple[SimplicialMap, SimplicialMap]:
 
 def vertex_inclusion(p: ProductPresentation, v: GenId) -> SimplicialMap:
     """The slice inclusion X -> X x Y over a vertex v of Y."""
+    from .morphism import SimplicialMap
     if not (v.dim == 0 and p.right.has_generator(v)):
         raise ValueError(f"{v} is not a vertex of the right factor")
     assignment = {
@@ -183,6 +186,7 @@ class PrismSimplex(Record):
 
 def prism_decomposition(p: int) -> list[PrismSimplex]:
     """The p+1 nondegenerate (p+1)-cells of the prism over the p-simplex."""
+    from .constructions import vertex_sequence
     if p < 0:
         raise ValueError("dimension must be >= 0")
     top = GenId(p, ".".join(str(v) for v in range(p + 1)))
@@ -205,6 +209,7 @@ def count_nondegenerate_top(p: int, q: int) -> int:
     Counted directly as pairs of (p+q)-simplices of the factors with
     disjoint degeneracy words.
     """
+    from .constructions import standard_simplex
     if p < 0 or q < 0:
         raise ValueError("dimensions must be >= 0")
     n = p + q

@@ -104,21 +104,18 @@ SUBCOMMAND_MODULES = [
     (["census", "fixtures/delta1.sset", "--dim", "5"], "core io"),
     (["homology", "fixtures/nerve_z2.sset", "--max-dim", "4"], "core homology io"),
     (["euler", "fixtures/sphere2.sset"], "core homology io"),
-    (["kan", "fixtures/delta1.sset", "--max-dim", "2"],
-     "constructions core groups io kan morphism"),
-    (["pi0", "fixtures/circle2.sset"],
-     "constructions core groups homotopy io kan morphism product"),
-    (["pi", "fixtures/nerve_z3.sset", "--n", "1"],
-     "constructions core groups homotopy io kan morphism product"),
+    (["kan", "fixtures/delta1.sset", "--max-dim", "2"], "core io kan"),
+    (["pi0", "fixtures/circle2.sset"], "core groups homotopy io kan"),
+    (["pi", "fixtures/nerve_z3.sset", "--n", "1"], "core groups homotopy io kan"),
     (["pirel", "fixtures/nerve_z4.sset", "--sub", "fixtures/nerve_z4_sub2.sset", "--n", "1"],
-     "constructions core groups homotopy io kan morphism product"),
+     "core groups homotopy io kan"),
     (["homotopic", "fixtures/nerve_z2.sset", "--n", "1", "g", "s0 *"],
-     "constructions core groups homotopy io kan morphism product"),
+     "core groups homotopy io kan"),
     (["product", "fixtures/delta1.sset", "fixtures/delta1.sset", "-o", "{out}"],
-     "constructions core groups io morphism product"),
+     "core io product"),
     (["nerve", "--table", "fixtures/z3.table", "--top-dim", "3", "-o", "{out}"],
      "constructions core groups io"),
-    (["standard", "--boundary", "3", "-o", "{out}"], "constructions core groups io"),
+    (["standard", "--boundary", "3", "-o", "{out}"], "constructions core io"),
     (["cw-report", "fixtures/sphere2.sset"], "core homology io report"),
     (["delta-report", "fixtures/cone.sset", "--max-dim", "2"], "core homology io report"),
     (["export-graph", "fixtures/delta2.sset"], "core homology io report"),
@@ -160,18 +157,22 @@ def test_each_subcommand_executes_only_the_modules_it_uses(tmp_path, argv, modul
 
 
 FIRST_TOUCH = """
-import sys, threading
+import sys, threading, types
 sys.setswitchinterval(1e-6)
-import ssets
+import ssets as S
 
-mod, attr = sys.argv[1], sys.argv[2]
-barrier, errors = threading.Barrier(8), []
+mod, attr, setup, unrun = sys.argv[1:]
+args = None
+exec(setup)  # builds a call's arguments before any thread starts
+assert not [m for m in unrun.split() if type(sys.modules["ssets." + m]) is types.ModuleType]
+barrier, errors, results = threading.Barrier(8), [], []
 
 def touch(i):
     barrier.wait()
     try:
-        m = getattr(ssets, mod) if i % 2 else sys.modules["ssets." + mod]
-        getattr(m, attr)
+        m = getattr(S, mod) if i % 2 else sys.modules["ssets." + mod]
+        value = getattr(m, attr)
+        results.append(value if args is None else value(*args))
     except BaseException as exc:
         errors.append(repr(exc))
 
@@ -180,22 +181,97 @@ for t in threads:
     t.start()
 for t in threads:
     t.join(60)
-print(sum(t.is_alive() for t in threads), errors)
+print(sum(t.is_alive() for t in threads), errors, all(r == results[0] for r in results))
 """
+
+# setups that build a call's arguments from core, io and the module called
+FIXTURES = ROOT / "fixtures"
+DELTA1 = f"d1 = S.load_presentation({str(FIXTURES / 'delta1.sset')!r})\n"
+DELTA2 = f"p = S.load_presentation({str(FIXTURES / 'delta2.sset')!r})\n"
+# a 2-horn of delta2; building it runs kan
+HORN = DELTA2 + (
+    "z = p.simplices(2)[-1]\n"
+    "h = S.HornSpec.from_faces(2, 1, {0: p.face(z, 0), 2: p.face(z, 2)})\n"
+)
+SQUARE = DELTA1 + "square = S.product(d1, d1)\n"
+# maps are stand-ins with a map's attributes, so that building them runs no
+# morphism; the trailing S.HomotopyData runs homotopy
+IDENTITY = DELTA2 + (
+    "import types\n"
+    "ident = {g: S.Simplex((), g) for g in p.all_generators()}\n"
+    "f = types.SimpleNamespace(source=p, target=p, assignment=ident)\n"
+    "S.HomotopyData\n"
+)
+CYLINDER = SQUARE + (  # the first projection of delta1 x delta1
+    "import types\n"
+    "first = {g: square.pair_of(g)[0] for g in square.all_generators()}\n"
+    "hmap = types.SimpleNamespace(source=square, target=d1, assignment=first, name='pr1')\n"
+    "S.HomotopyData\n"
+)
+
+FIRST_TOUCHES = [
+    ("constructions", "nerve", "", "constructions"), ("homotopy", "pi_n", "", "homotopy"),
+    ("kan", "kan_check", "", "kan"), ("report", "cw_report", "", "report"),
+    ("io", "load_map", "", "io"),
+    # constructions and morphism are first touched by horn_map's own imports
+    ("kan", "horn_map", HORN + "args = (p, h)", "constructions morphism"),
+]
 
 
 @pytest.mark.parametrize(
-    "mod,attr",
-    [("constructions", "nerve"), ("homotopy", "pi_n"), ("kan", "kan_check"),
-     ("report", "cw_report"), ("io", "load_map")],
+    "mod,attr,setup,unrun", FIRST_TOUCHES, ids=[f"{m}-{a}" for m, a, _, _ in FIRST_TOUCHES]
 )
-def test_threads_touching_a_deferred_module_first_all_see_it_whole(mod, attr):
+def test_threads_touching_a_deferred_module_first_all_see_it_whole(mod, attr, setup, unrun):
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
-        [sys.executable, "-c", FIRST_TOUCH, mod, attr],
+        [sys.executable, "-c", FIRST_TOUCH, mod, attr, setup, unrun],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout == "0 []\n", out.stdout + out.stderr
+    assert out.stdout == "0 [] True\n", out.stdout + out.stderr
+
+
+FIRST_CALL = """
+import pickle, sys, types
+import ssets as S
+
+setup, call, unrun = sys.argv[1:]
+exec(setup)
+ran = lambda: [m for m in unrun.split() if type(sys.modules["ssets." + m]) is types.ModuleType]
+assert ran() == [], ran()
+result = eval(call)
+assert ran() == unrun.split(), ran()
+sys.stdout.buffer.write(pickle.dumps(result))
+"""
+
+
+# a library function whose module imports its dependencies when it is called:
+# the setup that builds its arguments, the call, and the modules that the
+# call itself must run first
+FIRST_CALLS = [
+    (HORN, "S.horn_map(p, h)", "constructions morphism"),
+    (HORN, "S.map_from_simplex(p, z)", "constructions morphism"),
+    (SQUARE, "S.projections(square)", "morphism"),
+    (SQUARE, "S.vertex_inclusion(square, S.GenId(0, '1'))", "morphism"),
+    ("S.PrismSimplex", "S.prism_decomposition(3)", "constructions"),
+    ("S.PrismSimplex", "S.count_nondegenerate_top(2, 3)", "constructions"),
+    (IDENTITY, "S.constant_homotopy(f, 2)", "morphism"),
+    (CYLINDER, "S.cylinder_endpoints(hmap)", "morphism"),
+    (CYLINDER, "S.homotopy_from_cylinder(hmap, 1)", "morphism"),
+]
+
+
+@pytest.mark.parametrize(
+    "setup,call,unrun", FIRST_CALLS, ids=[call[2:call.index("(")] for _, call, _ in FIRST_CALLS]
+)
+def test_a_fresh_process_runs_what_a_library_function_imports_when_called(setup, call, unrun):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", FIRST_CALL, setup, call, unrun],
+        env=env, capture_output=True, check=True, timeout=120,
+    )
+    ns = {"S": ssets}
+    exec(setup, ns)
+    assert pickle.loads(out.stdout) == eval(call, ns)
 
 
 UNPICKLE = """
