@@ -33,7 +33,6 @@ picklable and copyable.
 from __future__ import annotations
 
 import math
-from functools import cache
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -337,9 +336,10 @@ class Presentation:
         """A presentation over tables its builder has already checked.
 
         ``generators`` is a collection of distinct ``GenId``s, and ``faces``
-        maps each of dimension n >= 1, and nothing else, to n + 1 simplices
-        of dimension n - 1, as the public constructor checks; it is taken
-        over, with a ``()`` row added per vertex.  Only ``top_dim`` is checked.
+        maps each of dimension n >= 1 to n + 1 simplices of dimension n - 1,
+        as the public constructor checks, and nothing else but vertices to
+        ``()``; it is taken over, with a ``()`` row set per vertex.  Only
+        ``top_dim`` is checked.
         """
         self = cls.__new__(cls)
         self._assemble(generators, top_dim, delta_style, name)
@@ -536,9 +536,10 @@ class Presentation:
 
         Dangling generator references are fatal and reported before any
         identity is evaluated.  Both sides are read off the face rows of
-        the stored faces of each generator; those rows are computed once
-        per distinct simplex, however many generators share it, and kept
-        only for this call.
+        the stored faces of each generator: a generator face's row is its
+        stored one, and a degenerate face's row is computed once per
+        distinct simplex, however many generators share it, and kept only
+        for this call.
         """
         fatal = []
         for g in self.all_generators():
@@ -550,7 +551,16 @@ class Presentation:
         if fatal:
             return ValidationReport(tuple(fatal), ())
         violations = []
-        row = cache(self.face_row)
+        degenerate_rows: dict[Simplex, tuple[Simplex, ...]] = {}
+
+        def row(f):
+            if not f.word:
+                return self._faces[f.gen]
+            r = degenerate_rows.get(f)
+            if r is None:
+                r = degenerate_rows[f] = self.face_row(f)
+            return r
+
         for g in self.all_generators():
             if g.dim < 2:
                 continue

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from array import array
 from pathlib import Path
 
 from .core import (
@@ -138,14 +139,13 @@ def _split_expression(text: str, line: int | None) -> tuple[list[int], str]:
     return ops, tokens[-1]
 
 
-def parse_face_expression(
-    text: str, dim: int, lookup, line: int | None = None
-) -> Simplex:
-    """Resolve ``s.. s.. genname`` against generators, normalizing the word.
+def _parse(text: str, dim: int, lookup, line: int | None) -> tuple[Simplex, bool]:
+    """The simplex of ``s.. s.. genname`` and whether its word was canonical.
 
     ``dim`` is the dimension of the simplex the expression denotes; the
     base generator dimension follows from the operator count.  ``lookup``
-    maps (dim, name) to a GenId or None.
+    maps (dim, name) to a GenId or None.  Raises on a bad expression and
+    warns of nothing.
     """
     ops, name = _split_expression(text, line)
     base_dim = dim - len(ops)
@@ -163,7 +163,33 @@ def parse_face_expression(
         simplex = apply_word(Simplex((), gen), ops)
     except ValueError as exc:
         raise SemanticError(f"expression {text!r} is invalid: {exc}") from exc
-    if tuple(ops) != simplex.word:
+    return simplex, tuple(ops) == simplex.word
+
+
+def _resolve(text: str, dim: int, lookup) -> Simplex | None:
+    """The simplex of ``text`` if it resolves silently, else None.
+
+    Silently means with a canonical word and no error: what
+    :func:`parse_face_expression` returns without raising or warning.
+    """
+    try:
+        simplex, canonical = _parse(text, dim, lookup, None)
+    except SsetError:
+        return None
+    return simplex if canonical else None
+
+
+def parse_face_expression(
+    text: str, dim: int, lookup, line: int | None = None
+) -> Simplex:
+    """Resolve ``s.. s.. genname`` against generators, normalizing the word.
+
+    ``dim`` is the dimension of the simplex the expression denotes; the
+    base generator dimension follows from the operator count.  ``lookup``
+    maps (dim, name) to a GenId or None.  A non-canonical word warns.
+    """
+    simplex, canonical = _parse(text, dim, lookup, line)
+    if not canonical:
         warnings.warn(
             f"degeneracy word in {text!r} normalized to "
             f"{format_simplex(simplex)!r}",
@@ -178,11 +204,52 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
 
 
 def _read_presentation(chunks, doc_name: str | None) -> Presentation:
-    """Parse a document from chunks; faces lines stay raw text until pass two."""
+    """Parse a document from chunks, resolving each faces line as it is read.
+
+    A faces line is resolved when read if its generator is already known
+    and unambiguous, no earlier faces line named it, its entry count is
+    right and every entry resolves silently (:func:`_resolve`); such a
+    line keeps only its line number.  Any other line keeps its text for
+    pass two, which reads the deferred lines in order and raises or warns
+    as a two-pass reader would.  Of what a resolved line was checked
+    against, only its name's carrier can change later, when a generators
+    line follows; pass two checks it again, at the resolved line's turn.
+    """
     style = "simplicial"
     top_dim = None
-    gens_by_dim: dict[int, list[str]] = {}
-    face_lines: list[tuple[int, str, str]] = []
+    # gens maps each dimension, in the order of first appearance, to its
+    # generators by name; carrier maps a name to its generator of dimension
+    # >= 1, None if there are several
+    gens: dict[int, dict[str, GenId]] = {}
+    carrier: dict[str, GenId | None] = {}
+    duplicates: dict[int, str] = {}  # per dimension, its first name read twice
+    faces: dict[GenId, tuple[Simplex, ...]] = {}
+    resolved = array("q")  # line number of each row of faces, in its order
+    deferred: list[tuple[int, str, str]] = []
+    deferred_names: set[str] = set()
+    generators_after_faces = False
+
+    def lookup(dim, n):
+        return gens.get(dim, {}).get(n)
+
+    # One text -> Simplex memo per dimension, seeded on first use with the
+    # bare names of its generators (names hold no whitespace), then given
+    # every text that resolves silently, so a normalized word warns again on
+    # every line it appears on, and an error is raised by its first use.
+    memos: dict[int, dict[str, Simplex]] = {}
+
+    def memo_of(dim):
+        memo = memos.get(dim)
+        if memo is None:
+            memo = memos[dim] = {n: Simplex((), g) for n, g in gens.get(dim, {}).items()}
+        return memo
+
+    def silent(text, dim, memo):
+        simplex = _resolve(text, dim, lookup)
+        if simplex is not None:
+            memo[text] = simplex
+        return simplex
+
     heads = ("faces", "name", "style", "top_dim", "generators")
     for lineno, head, rest in _directives(chunks, heads):
         if head == "faces":  # the most common line first
@@ -190,7 +257,23 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             _check_name(gen_name, lineno)
             if _EMPTY_ENTRY_RE.search(f";{exprs};"):
                 raise ParseError("empty face expression", lineno)
-            face_lines.append((lineno, gen_name, exprs))
+            g = carrier.get(gen_name)
+            row = None
+            if g is not None and g not in faces and gen_name not in deferred_names:
+                entries = exprs.split(";")
+                if len(entries) == g.dim + 1:
+                    d = g.dim - 1
+                    memo = memo_of(d)
+                    row = tuple(map(memo.get, map(str.strip, entries)))
+                    if None in row:
+                        texts = map(str.strip, entries)
+                        row = tuple([memo.get(e) or silent(e, d, memo) for e in texts])
+            if row is None or None in row:
+                deferred.append((lineno, gen_name, exprs))
+                deferred_names.add(gen_name)
+            else:
+                faces[g] = row
+                resolved.append(lineno)
         elif head == "name":
             doc_name = rest or doc_name
         elif head == "style":
@@ -210,46 +293,35 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
                 raise ParseError(f"bad dimension {dim_text!r}", lineno) from None
             if dim < 0:
                 raise ParseError("dimension must be >= 0", lineno)
-            bucket = gens_by_dim.setdefault(dim, [])
+            generators_after_faces |= bool(faces)
+            named = gens.setdefault(dim, {})
             for n in names.split():
                 _check_name(n, lineno)
-                bucket.append(n)
+                if n in named:
+                    duplicates.setdefault(dim, n)
+                    continue
+                named[n] = g = GenId(dim, n)
+                if dim >= 1:
+                    carrier[n] = None if n in carrier else g
     if top_dim is None:
         raise ParseError("document is missing a top_dim line")
-    # by_key maps each GenId to itself, so a (dim, name) tuple finds it; carrier
-    # maps a name to its generator of dimension >= 1, None if there are several
-    by_key: dict[GenId, GenId] = {}
-    carrier: dict[str, GenId | None] = {}
-    for dim, names in gens_by_dim.items():
-        for n in names:
-            g = GenId(dim, n)
-            if g in by_key:
-                raise SemanticError(f"duplicate generator {n!r} in dimension {dim}")
-            by_key[g] = g
-            if dim >= 1:
-                carrier[n] = None if n in carrier else g
-
-    def lookup(dim, n):
-        return by_key.get((dim, n))
-
-    # One text -> Simplex memo per dimension, seeded with the bare names of
-    # its generators (names hold no whitespace).  Anything else is parsed,
-    # and remembered only if canonical, so a normalized word warns again on
-    # every line it appears on, and an error is raised by its first use.
-    memos: dict[int, dict[str, Simplex]] = {}
-
-    def resolve(text, dim, memo, lineno):
-        simplex = memo.get(text)
-        if simplex is None:
-            simplex = parse_face_expression(text, dim, lookup, lineno)
-            if format_simplex(simplex) == text:
-                memo[text] = simplex
-        return simplex
-
-    faces: dict[GenId, tuple[Simplex, ...]] = {}
-    face_lines.reverse()  # popped in line order, so each is freed once read
-    while face_lines:
-        lineno, gen_name, exprs = face_lines.pop()
+    for dim in gens:  # the first repeat of the first dimension that has one
+        if dim in duplicates:
+            raise SemanticError(
+                f"duplicate generator {duplicates[dim]!r} in dimension {dim}"
+            )
+    # the first resolved line whose name a later generators line made ambiguous
+    ambiguous = None
+    if generators_after_faces:
+        ambiguous = next(
+            ((ln, g) for ln, g in zip(resolved, faces) if carrier[g.name] is None), None
+        )
+    late: dict[GenId, tuple[Simplex, ...]] = {}
+    deferred.reverse()  # popped in line order, so each is freed once read
+    while deferred:
+        lineno, gen_name, exprs = deferred.pop()
+        if ambiguous and ambiguous[0] < lineno:
+            break
         if gen_name not in carrier:
             raise SemanticError(
                 f"faces given for unknown or zero-dimensional generator {gen_name!r}"
@@ -259,7 +331,7 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             raise SemanticError(
                 f"ambiguous generator name {gen_name!r}; duplicate across dimensions"
             )
-        if g in faces:
+        if g in faces or g in late:
             raise SemanticError(f"duplicate face entries for {gen_name!r}")
         entries = exprs.split(";")
         if len(entries) != g.dim + 1:
@@ -267,19 +339,28 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
                 f"generator {gen_name!r} needs {g.dim + 1} faces, got {len(entries)}"
             )
         d = g.dim - 1
-        memo = memos.get(d)
-        if memo is None:
-            memo = memos[d] = {
-                n: Simplex((), by_key[(d, n)]) for n in gens_by_dim.get(d, ())
-            }
-        faces[g] = row = tuple(map(memo.get, map(str.strip, entries)))
-        if None in row:
-            faces[g] = tuple(resolve(e.strip(), d, memo, lineno) for e in entries)
-    for g in by_key:
-        if g.dim >= 1 and g not in faces:
-            raise SemanticError(f"generator {g.name!r} has no face entries")
+        memo = memo_of(d)
+        late[g] = tuple(
+            memo.get(e)
+            or silent(e, d, memo)
+            or parse_face_expression(e, d, lookup, lineno)
+            for e in map(str.strip, entries)
+        )
+    if ambiguous:
+        raise SemanticError(
+            f"ambiguous generator name {ambiguous[1].name!r}; duplicate across dimensions"
+        )
+    faces.update(late)
+    for named in gens.values():
+        for g in named.values():
+            if g.dim and g not in faces:
+                raise SemanticError(f"generator {g.name!r} has no face entries")
     return Presentation._from_checked(
-        by_key, faces, top_dim, delta_style=(style == "delta"), name=doc_name
+        (g for named in gens.values() for g in named.values()),
+        faces,
+        top_dim,
+        delta_style=(style == "delta"),
+        name=doc_name,
     )
 
 
@@ -300,9 +381,11 @@ def _document_lines(p: Presentation):
         raise SemanticError(
             f"document name {name!r} cannot be written in the file grammar"
         )
-    texts: dict[Simplex, str] = {}
+    texts: dict[Simplex, str] = {}  # degenerate faces only: a generator's text is its name
 
     def text(f):
+        if not f.word:
+            return f.gen.name
         t = texts.get(f)
         if t is None:
             t = texts[f] = format_simplex(f)

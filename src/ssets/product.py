@@ -29,7 +29,12 @@ if TYPE_CHECKING:
 
 
 class ProductPresentation(Presentation):
-    """A product presentation remembering its factors and the pair encoding."""
+    """A product presentation remembering its factors.
+
+    The name ``(compact(a)|compact(b))`` of each cell is the one record of
+    its pair: ``from_pair`` finds a cell by that name, and ``pair_of``
+    pairs the cells of a dimension again on its first use there.
+    """
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a ProductPresentation is built by product(x, y)")
@@ -37,7 +42,13 @@ class ProductPresentation(Presentation):
     def pair_of(self, g: GenId) -> tuple[Simplex, Simplex]:
         if not self.has_generator(g):
             raise StructureError(f"{g} is not a generator of this product")
-        return self._pair_of[g]
+        pairs = self._pairs.get(g.dim)
+        if pairs is None:  # two threads may both pair a dimension; the first kept wins
+            n = g.dim
+            xs, ys = self.left.simplices(n), self.right.simplices(n)
+            built = {_cell(a, b): (a, b) for a, b in _compatible_pairs(xs, ys)}
+            pairs = self._pairs.setdefault(n, built)
+        return pairs[g]
 
     def to_pair(self, x: Simplex) -> tuple[Simplex, Simplex]:
         """Components of an arbitrary simplex of the product."""
@@ -45,14 +56,23 @@ class ProductPresentation(Presentation):
         return apply_word(a, x.word), apply_word(b, x.word)
 
     def from_pair(self, a: Simplex, b: Simplex) -> Simplex:
-        """Canonical simplex of the product for a componentwise pair."""
+        """Canonical simplex of the product for a componentwise pair.
+
+        Components with disjoint words over generators of the factors are
+        a cell, and ``product`` refuses two cells of one name, so the name
+        finds it.
+        """
         if a.dim != b.dim:
             raise ValueError(f"component dimensions differ: {a.dim} vs {b.dim}")
         word, a0, b0 = _extract_common(self.left, self.right, a, b)
-        gen = self._gen_of_pair.get((a0, b0))
-        if gen is None:
+        if not (self.left.has_generator(a0.gen) and self.right.has_generator(b0.gen)):
             raise StructureError(f"pair ({a0}, {b0}) is not a cell of this product")
-        return Simplex(word, gen)
+        return Simplex(word, _cell(a0, b0))
+
+
+def _cell(a: Simplex, b: Simplex, a_name=compact_simplex, b_name=compact_simplex) -> GenId:
+    """The product cell of a pair with disjoint words, by its name."""
+    return GenId(a.dim, f"({a_name(a)}|{b_name(b)})")
 
 
 def _extract_common(left, right, a, b):
@@ -100,22 +120,21 @@ def _compatible_pairs(xs, ys):
 def product(x: Presentation, y: Presentation) -> ProductPresentation:
     """The product presentation, truncated at the sum of the factor bounds.
 
-    Each cell's pair is one tuple, kept by ``pair_of`` and ``from_pair``.  A
-    face pair with disjoint words is a cell one dimension down and maps to
-    that cell's one ``Simplex``; a pair sharing an index is put in canonical
-    form once.  Factor face rows are built over the objects of
-    ``simplices(n - 1)``; rows and memos live for one dimension.  The
-    tables are valid by construction, so the result is not checked again.
+    A cell is named by its pair and holds no other record of it; two
+    cells of one name are refused.  A face pair with disjoint words is a
+    cell one dimension down and maps to that cell's one ``Simplex``; a
+    pair sharing an index is put in canonical form once.  Factor face
+    rows are built over the objects of ``simplices(n - 1)``; rows and
+    memos live for one dimension.  The table is valid by construction,
+    so the result is not checked again.
     """
-    pair_of: dict[GenId, tuple[Simplex, Simplex]] = {}
-    gen_of_pair: dict[tuple[Simplex, Simplex], GenId] = {}
     faces: dict[GenId, tuple[Simplex, ...]] = {}
     below: dict[tuple[Simplex, Simplex], Simplex] = {}
 
     def pair_simplex(a, b):
         if (a, b) not in below:
             word, a0, b0 = _extract_common(x, y, a, b)
-            below[(a, b)] = Simplex(word, gen_of_pair[(a0, b0)])
+            below[(a, b)] = Simplex(word, _cell(a0, b0))
         return below[(a, b)]
 
     for n in range(x.max_generator_dim + y.max_generator_dim + 1):
@@ -125,19 +144,25 @@ def product(x: Presentation, y: Presentation) -> ProductPresentation:
         cells = {}
         for ab in _compatible_pairs(xs, ys):
             a, b = ab
-            g = GenId(n, f"({x_name(a)}|{y_name(b)})")
-            pair_of[g] = ab
-            gen_of_pair[ab] = g
+            g = _cell(a, b, x_name, y_name)
+            if g in faces:
+                a1, b1 = next(pair for pair, c in cells.items() if c.gen == g)
+                raise StructureError(
+                    f"pairs ({a1}, {b1}) and ({a}, {b}) are both named {g.name!r}"
+                )
             cells[ab] = Simplex((), g)
+            row = ()
             if n:
                 fa, fb = x_row(a), y_row(b)
                 row = tuple(map(below.get, zip(fa, fb)))
-                faces[g] = tuple(map(pair_simplex, fa, fb)) if None in row else row
+                if None in row:
+                    row = tuple(map(pair_simplex, fa, fb))
+            faces[g] = row
         below = cells
     p = ProductPresentation._from_checked(
-        pair_of, faces, x.top_dim + y.top_dim, name=f"({x.name or '?'}x{y.name or '?'})"
+        faces, faces, x.top_dim + y.top_dim, name=f"({x.name or '?'}x{y.name or '?'})"
     )
-    p.left, p.right, p._pair_of, p._gen_of_pair = x, y, pair_of, gen_of_pair
+    p.left, p.right, p._pairs = x, y, {}
     return p
 
 

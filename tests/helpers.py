@@ -24,7 +24,16 @@ from ssets import (
     degenerate,
 )
 from ssets.constructions import BASEPOINT_NAME
-from ssets.core import DDViolation
+from ssets.core import DDViolation, format_simplex
+from ssets.io import (
+    _EMPTY_ENTRY_RE,
+    ParseError,
+    SemanticError,
+    _check_name,
+    _directives,
+    _key_value,
+    parse_face_expression,
+)
 from ssets.homology import sparse_smith_normal_form
 
 
@@ -199,6 +208,17 @@ def scan_product(x: Presentation, y: Presentation):
     return faces, pair_of
 
 
+def check_pairing(prod, pair_of) -> None:
+    """``pair_of``, ``to_pair`` and ``from_pair`` of prod on every cell and its pair.
+
+    ``pair_of`` is the scan's: each cell's pair, in emission order.
+    """
+    for g, ab in pair_of.items():
+        assert prod.pair_of(g) == ab
+        assert prod.to_pair(Simplex((), g)) == ab
+        assert prod.from_pair(*ab) == Simplex((), g)
+
+
 def scan_violations(p: Presentation) -> tuple[DDViolation, ...]:
     """The d-d identity failures of p, with four ``face`` calls per identity.
 
@@ -217,6 +237,119 @@ def scan_violations(p: Presentation) -> tuple[DDViolation, ...]:
                 if lhs != rhs:
                     out.append(DDViolation(g, i, j, lhs, rhs))
     return tuple(out)
+
+
+# -- two-pass reference for the presentation loader -----------------------------
+
+
+def two_pass_read_presentation(chunks, doc_name: str | None) -> Presentation:
+    """The reference loader: every faces line stays raw text until pass two.
+
+    ``ssets.io._read_presentation`` resolves most faces lines as it reads
+    them; its outcomes, warnings and errors included, must be this one's.
+    """
+    style = "simplicial"
+    top_dim = None
+    gens_by_dim: dict[int, list[str]] = {}
+    face_lines: list[tuple[int, str, str]] = []
+    heads = ("faces", "name", "style", "top_dim", "generators")
+    for lineno, head, rest in _directives(chunks, heads):
+        if head == "faces":  # the most common line first
+            gen_name, exprs = _key_value(head, rest, lineno)
+            _check_name(gen_name, lineno)
+            if _EMPTY_ENTRY_RE.search(f";{exprs};"):
+                raise ParseError("empty face expression", lineno)
+            face_lines.append((lineno, gen_name, exprs))
+        elif head == "name":
+            doc_name = rest or doc_name
+        elif head == "style":
+            if rest not in ("simplicial", "delta"):
+                raise ParseError(f"unknown style {rest!r}", lineno)
+            style = rest
+        elif head == "top_dim":
+            try:
+                top_dim = int(rest)
+            except ValueError:
+                raise ParseError(f"bad top_dim {rest!r}", lineno) from None
+        else:  # generators
+            dim_text, names = _key_value(head, rest, lineno)
+            try:
+                dim = int(dim_text)
+            except ValueError:
+                raise ParseError(f"bad dimension {dim_text!r}", lineno) from None
+            if dim < 0:
+                raise ParseError("dimension must be >= 0", lineno)
+            bucket = gens_by_dim.setdefault(dim, [])
+            for n in names.split():
+                _check_name(n, lineno)
+                bucket.append(n)
+    if top_dim is None:
+        raise ParseError("document is missing a top_dim line")
+    # by_key maps each GenId to itself, so a (dim, name) tuple finds it; carrier
+    # maps a name to its generator of dimension >= 1, None if there are several
+    by_key: dict[GenId, GenId] = {}
+    carrier: dict[str, GenId | None] = {}
+    for dim, names in gens_by_dim.items():
+        for n in names:
+            g = GenId(dim, n)
+            if g in by_key:
+                raise SemanticError(f"duplicate generator {n!r} in dimension {dim}")
+            by_key[g] = g
+            if dim >= 1:
+                carrier[n] = None if n in carrier else g
+
+    def lookup(dim, n):
+        return by_key.get((dim, n))
+
+    # One text -> Simplex memo per dimension, seeded with the bare names of
+    # its generators (names hold no whitespace).  Anything else is parsed,
+    # and remembered only if canonical, so a normalized word warns again on
+    # every line it appears on, and an error is raised by its first use.
+    memos: dict[int, dict[str, Simplex]] = {}
+
+    def resolve(text, dim, memo, lineno):
+        simplex = memo.get(text)
+        if simplex is None:
+            simplex = parse_face_expression(text, dim, lookup, lineno)
+            if format_simplex(simplex) == text:
+                memo[text] = simplex
+        return simplex
+
+    faces: dict[GenId, tuple[Simplex, ...]] = {}
+    face_lines.reverse()  # popped in line order, so each is freed once read
+    while face_lines:
+        lineno, gen_name, exprs = face_lines.pop()
+        if gen_name not in carrier:
+            raise SemanticError(
+                f"faces given for unknown or zero-dimensional generator {gen_name!r}"
+            )
+        g = carrier[gen_name]
+        if g is None:
+            raise SemanticError(
+                f"ambiguous generator name {gen_name!r}; duplicate across dimensions"
+            )
+        if g in faces:
+            raise SemanticError(f"duplicate face entries for {gen_name!r}")
+        entries = exprs.split(";")
+        if len(entries) != g.dim + 1:
+            raise SemanticError(
+                f"generator {gen_name!r} needs {g.dim + 1} faces, got {len(entries)}"
+            )
+        d = g.dim - 1
+        memo = memos.get(d)
+        if memo is None:
+            memo = memos[d] = {
+                n: Simplex((), by_key[(d, n)]) for n in gens_by_dim.get(d, ())
+            }
+        faces[g] = row = tuple(map(memo.get, map(str.strip, entries)))
+        if None in row:
+            faces[g] = tuple(resolve(e.strip(), d, memo, lineno) for e in entries)
+    for g in by_key:
+        if g.dim >= 1 and g not in faces:
+            raise SemanticError(f"generator {g.name!r} has no face entries")
+    return Presentation._from_checked(
+        by_key, faces, top_dim, delta_style=(style == "delta"), name=doc_name
+    )
 
 
 # -- face-by-face oracle for the nerve -----------------------------------------

@@ -18,13 +18,15 @@ are followed), and mutants of ``z3.table``.  Re-record that file with
 
 import json
 import random
+import re
 import warnings
+from collections import Counter
 from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
-from helpers import rebuilt
+from helpers import rebuilt, two_pass_read_presentation
 from ssets import Presentation, SsetError, format_simplex
 from ssets.io import (
     dumps_presentation,
@@ -153,6 +155,87 @@ def test_file_reader_matches_the_string_reader(tmp_path):
             assert path.read_bytes() == dumps_presentation(p).encode()
             saved += 1
     assert CASES // 20 < saved < CASES - CASES // 20
+
+
+def _edit(rng, lines):
+    """One edit of a document's lines, of a kind that decides what the loader defers."""
+    names = {}  # dimension -> generator names, from the generators lines
+    for line in lines:
+        head, _, rest = line.partition(" ")
+        if head == "generators":
+            dim, _, listed = rest.partition(":")
+            names.setdefault(int(dim), []).extend(listed.split())
+    faces = [k for k, line in enumerate(lines) if line.startswith("faces ")]
+    declared = [k for k, line in enumerate(lines) if line.startswith("generators")]
+    kind = rng.randrange(9)
+    if kind == 0 or not faces:  # a generators line moved after a faces line
+        line = lines.pop(rng.choice(declared))
+        lines.insert(rng.randint(faces[0] if faces else 0, len(lines)), line)
+    elif kind == 1:  # a faces line repeated
+        lines.insert(rng.randint(0, len(lines)), lines[rng.choice(faces)])
+    elif kind == 2:  # a generators line repeated
+        lines.insert(rng.randint(0, len(lines)), lines[rng.choice(declared)])
+    elif kind == 3:  # a faces line dropped
+        del lines[rng.choice(faces)]
+    elif kind == 4:  # a name declared again in another dimension, late in the file
+        dim = rng.choice(list(names))
+        other = rng.choice([d for d in range(max(names) + 2) if d != dim])
+        line = f"generators {other} : {rng.choice(names[dim])}"
+        lines.insert(rng.randint(len(lines) // 2, len(lines)), line)
+    else:  # a word that is not canonical, a name that is not known, or a count off
+        k = rng.choice(faces)
+        gen, _, entries = lines[k][len("faces "):].partition(" : ")
+        entries = entries.split(" ; ")
+        i = rng.randrange(len(entries))
+        below = names.get(len(entries) - 4)  # two dimensions below the entries'
+        if kind == 5 and below:
+            entries[i] = f"{rng.choice(['s0 s0', 's0 s1', 's1 s0'])} {rng.choice(below)}"
+        elif kind == 6:
+            entries[i] = rng.choice(["zz", rng.choice(names[0])])
+        elif kind == 7:
+            gen = rng.choice(["zz", rng.choice(names[0])])
+        elif rng.random() < 0.5:
+            entries.insert(i, entries[i])
+        else:
+            del entries[i]
+        lines[k] = f"faces {gen} : {' ; '.join(entries)}"
+
+
+def reordered_documents(seed, count):
+    """Fixture documents with their lines permuted and edited, seeded."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lines = rng.choice(SOURCES).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            _edit(rng, lines)
+        if rng.random() < 0.25:
+            rng.shuffle(lines)
+        else:
+            for _ in range(rng.randint(0, 3)):
+                lines.insert(rng.randint(0, len(lines) - 1), lines.pop())
+        yield "\n".join(lines) + "\n"
+
+
+def test_one_pass_loader_matches_the_two_pass_reference():
+    # the same presentation and name, or the same error class, message and
+    # line, and the same warnings in the same order
+    seen = Counter()
+    for text in reordered_documents(SEED, CASES):
+        got = _outcome(lambda: loads_presentation(text))
+        assert got == _outcome(lambda: two_pass_read_presentation((text,), None)), text
+        (result, message, *_), warned = got
+        if isinstance(result, Presentation):
+            seen["loaded"] += 1
+        else:  # an error by its message up to the first quoted name
+            seen[re.sub(r"line \d+: ", "", message).split(" '")[0]] += 1
+        seen["warned"] += bool(warned)
+    # every deferral rule decides some outcomes
+    for outcome in (
+        "loaded", "warned", "duplicate face entries for", "ambiguous generator name",
+        "faces given for unknown or zero-dimensional generator",
+        "expression", "duplicate generator", "generator",
+    ):
+        assert seen[outcome] >= 10, (outcome, seen)
 
 
 def recorded_outcome(text):

@@ -1,13 +1,16 @@
 """Products, the disjoint-word criterion, prisms, and shuffle counts."""
 
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import pytest
 
 import ssets as S
-from ssets import io as sio
 from ssets import Simplex
+
+from helpers import check_pairing, scan_product
 
 
 @pytest.fixture(scope="module")
@@ -191,31 +194,91 @@ def test_only_product_builds_a_product_presentation(square):
     assert (square.left, square.right) == (S.standard_simplex(1),) * 2
 
 
-def test_product_holds_each_pair_and_each_cell_once(tmp_path):
-    # Traced allocations of product(Δ3, Δ3), against the loader's peak on
-    # the document it saves (508-524 KiB on Python 3.11).  With each pair
-    # stored twice, every face pair kept in a cache and a set of the cells
-    # beside the face table, the product's peak was 952 KiB, 1.87 times
-    # the load's; now it is 554 KiB, 1.07 times.
+def test_product_holds_each_cell_once_and_no_pair_table():
+    # Traced allocations of product(Δ3, Δ3), its factors' enumerations
+    # included: on Python 3.10-3.13 the result is 431,610-450,704 bytes
+    # and the peak, set by one dimension's memos, 1.05-1.06 times it.  A
+    # table of each cell's pair would add about 100,000 bytes.
     x, y = S.standard_simplex(3), S.standard_simplex(3)
+    product = S.product  # its module runs before the trace
     tracemalloc.start()
     try:
-        p = S.product(x, y)
-        _, product_peak = tracemalloc.get_traced_memory()
+        p = product(x, y)
+        result, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    f = tmp_path / "d3xd3.sset"
-    sio.save_presentation(p, f)
-    tracemalloc.start()
-    try:
-        q = sio.load_presentation(f)
-        _, load_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert q == p and sum(p.generator_counts()) == 1007
-    assert product_peak < 1.5 * load_peak
-    assert all(p._pair_of[g] is ab for ab, g in p._gen_of_pair.items())
+    assert sum(p.generator_counts()) == 1007
+    assert result < 480_000 and peak < 1.1 * result
+    assert p._pairs == {}  # pair_of pairs a dimension on its first call there
     held: dict = {}
     rows = [p.faces_of(g) for g in p.all_generators()]
     assert all(held.setdefault(face, face) is face for row in rows for face in row)
     assert sum(len(row) for row in rows) > len(held) > 0
+    _, pair_of = scan_product(x, y)
+    check_pairing(p, pair_of)
+    for n in range(5):  # every pair, degenerate ones included
+        for a in x.simplices(n):
+            for b in y.simplices(n):
+                assert p.to_pair(p.from_pair(a, b)) == (a, b)
+
+
+def vertices(*names):
+    return S.Presentation([S.GenId(0, n) for n in names], {})
+
+
+def test_product_refuses_cells_whose_names_collide():
+    # ([p]|[q]|[r]) names both (p, q]|[r) and (p]|[q, r)
+    x, y = vertices("p", "p]|[q"), vertices("q]|[r", "r")
+    with pytest.raises(S.StructureError) as info:
+        S.product(x, y)
+    assert str(info.value) == (
+        "pairs (p, q]|[r) and (p]|[q, r) are both named '([p]|[q]|[r])'"
+    )
+    # without the colliding pair every cell has its own name
+    p = S.product(x, vertices("q]|[r"))
+    pairs = {g.name: tuple(map(str, p.pair_of(g))) for g in p.generators_at(0)}
+    assert pairs == {
+        "([p]|[q]|[r])": ("p", "q]|[r"),
+        "([p]|[q]|[q]|[r])": ("p]|[q", "q]|[r"),
+    }
+
+
+def test_pairing_refuses_what_is_not_of_the_factors(square):
+    d1 = square.left
+    e, v0 = Simplex((), d1.generator(1, "0.1")), Simplex((), d1.generator(0, "0"))
+    foreign_edge = Simplex((), S.GenId(1, "0.2"))
+    foreign_vertex = Simplex((), S.GenId(0, "9"))
+    for a, b in ((foreign_edge, e), (e, foreign_edge), (foreign_vertex, v0)):
+        with pytest.raises(S.StructureError, match="is not a cell of this product"):
+            square.from_pair(a, b)
+    # a shared index is pulled out by a face of each factor, which refuses first
+    with pytest.raises(S.StructureError, match="unknown generator"):
+        square.from_pair(S.degenerate(foreign_edge, 0), S.degenerate(e, 0))
+    with pytest.raises(ValueError, match="component dimensions differ"):
+        square.from_pair(e, v0)
+    for g in (S.GenId(2, "([0.1]|[0.2])"), S.GenId(3, "x")):
+        with pytest.raises(S.StructureError, match="is not a generator of this product"):
+            square.pair_of(g)
+        with pytest.raises(S.StructureError):
+            square.to_pair(Simplex((), g))
+    # a pair whose name is a cell's, of simplices that are not the factors'
+    p = S.product(vertices("p"), vertices("q]|[r"))
+    with pytest.raises(S.StructureError, match="is not a cell of this product"):
+        p.from_pair(Simplex((), S.GenId(0, "p]|[q")), Simplex((), S.GenId(0, "r")))
+
+
+def test_first_pair_of_calls_from_threads_agree():
+    x, y = S.standard_simplex(3), S.standard_simplex(2)
+    _, pair_of = scan_product(x, y)
+    p = S.product(x, y)
+    cells = [g for g in pair_of if g.dim == 3]
+    start = threading.Barrier(8)
+
+    def first_call():
+        start.wait()
+        return [p.pair_of(g) for g in cells]
+
+    with ThreadPoolExecutor(8) as pool:
+        answers = [f.result() for f in [pool.submit(first_call) for _ in range(8)]]
+    assert answers == [[pair_of[g] for g in cells]] * 8
+    assert list(p._pairs) == [3]
