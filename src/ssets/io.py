@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from array import array
 from pathlib import Path
 
 from .core import (
@@ -209,11 +208,12 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     A faces line is resolved when read if its generator is already known
     and unambiguous, no earlier faces line named it, its entry count is
     right and every entry resolves silently (:func:`_resolve`); such a
-    line keeps only its line number.  Any other line keeps its text for
-    pass two, which reads the deferred lines in order and raises or warns
-    as a two-pass reader would.  Of what a resolved line was checked
-    against, only its name's carrier can change later, when a generators
-    line follows; pass two checks it again, at the resolved line's turn.
+    line keeps only the count of lines deferred before it.  Any other line
+    keeps its text for pass two, which reads the deferred lines in order
+    and raises or warns as a two-pass reader would.  Of what a resolved
+    line was checked against, only its name's carrier can change later,
+    when a generators line follows; pass two checks it again, at the
+    resolved line's turn.
     """
     style = "simplicial"
     top_dim = None
@@ -224,8 +224,11 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     carrier: dict[str, GenId | None] = {}
     duplicates: dict[int, str] = {}  # per dimension, its first name read twice
     faces: dict[GenId, tuple[Simplex, ...]] = {}
-    resolved = array("q")  # line number of each row of faces, in its order
     deferred: list[tuple[int, str, str]] = []
+    # per row of faces, in its order, the count of lines deferred before it:
+    # one shared int while no line is deferred in between
+    before: list[int] = []
+    count = 0
     deferred_names: set[str] = set()
     generators_after_faces = False
 
@@ -271,9 +274,10 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             if row is None or None in row:
                 deferred.append((lineno, gen_name, exprs))
                 deferred_names.add(gen_name)
+                count = len(deferred)
             else:
                 faces[g] = row
-                resolved.append(lineno)
+                before.append(count)
         elif head == "name":
             doc_name = rest or doc_name
         elif head == "style":
@@ -314,14 +318,12 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     ambiguous = None
     if generators_after_faces:
         ambiguous = next(
-            ((ln, g) for ln, g in zip(resolved, faces) if carrier[g.name] is None), None
+            ((k, g) for k, g in zip(before, faces) if carrier[g.name] is None), None
         )
     late: dict[GenId, tuple[Simplex, ...]] = {}
     deferred.reverse()  # popped in line order, so each is freed once read
-    while deferred:
+    for _ in range(len(deferred) if ambiguous is None else ambiguous[0]):
         lineno, gen_name, exprs = deferred.pop()
-        if ambiguous and ambiguous[0] < lineno:
-            break
         if gen_name not in carrier:
             raise SemanticError(
                 f"faces given for unknown or zero-dimensional generator {gen_name!r}"
@@ -346,7 +348,7 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             or parse_face_expression(e, d, lookup, lineno)
             for e in map(str.strip, entries)
         )
-    if ambiguous:
+    if ambiguous is not None:
         raise SemanticError(
             f"ambiguous generator name {ambiguous[1].name!r}; duplicate across dimensions"
         )
