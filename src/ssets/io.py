@@ -228,7 +228,7 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     # per row of faces, in its order, the count of lines deferred before it:
     # one shared int while no line is deferred in between
     before: list[int] = []
-    count = 0
+    deferred_count = 0
     deferred_names: set[str] = set()
     generators_after_faces = False
 
@@ -274,10 +274,10 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             if row is None or None in row:
                 deferred.append((lineno, gen_name, exprs))
                 deferred_names.add(gen_name)
-                count = len(deferred)
+                deferred_count = len(deferred)
             else:
                 faces[g] = row
-                before.append(count)
+                before.append(deferred_count)
         elif head == "name":
             doc_name = rest or doc_name
         elif head == "style":

@@ -440,7 +440,7 @@ def test_delta4_squared_product_file_and_its_payloads_are_pinned(tmp_path, capsy
 
 def test_load_and_save_peaks_stay_near_their_results(tmp_path):
     # Traced allocations around a load and a save of the 1,007-cell Δ3×Δ3
-    # file.  On Python 3.10-3.13 the load peaks at 1.36-1.42 times its
+    # file.  On Python 3.10-3.13 the load peaks at 1.33-1.42 times its
     # result, and the save, which formats only degenerate faces, peaks
     # above the loaded result by 0.20-0.22 times the file's size.
     p = S.product(S.standard_simplex(3), S.standard_simplex(3))
