@@ -22,6 +22,10 @@ rewriting; the d-d identity is a property of the face table and is what
 ``GenId`` and ``Simplex`` are immutable ``tuple`` subclasses whose
 constructors check the normal form; every face row, index and memo is a
 dict keyed on them, so hashing and equality are the built-in tuple ones.
+A value is checked once, where it enters: the engine builds its results
+from already-checked parts with ``_new`` (``tuple.__new__``), skipping
+the constructors, and a plain ``(word, gen)`` tuple given to a public
+function has its result built by the checking constructor.
 
 Results and reports (``HornSpec``, ``PiGroup``, ...) are :class:`Record`
 subclasses with annotated fields: built by position or keyword, checked
@@ -56,6 +60,10 @@ class NotKanError(SsetError):
 
 class ConsistencyError(SsetError):
     """An internal cross-check failed; indicates corrupt input or a bug."""
+
+
+# builds a GenId or Simplex from parts already checked, skipping __new__
+_new = tuple.__new__
 
 
 class GenId(tuple):
@@ -157,7 +165,8 @@ def degenerate(x: Simplex, i: int) -> Simplex:
     """Return s_i x in canonical form.
 
     The word is re-sorted by a single insertion pass using
-    s_i s_j = s_{j+1} s_i for i <= j.
+    s_i s_j = s_{j+1} s_i for i <= j.  The result of a plain
+    ``(word, gen)`` tuple is built by the checking constructor.
     """
     word, gen = x
     n = gen.dim + len(word)
@@ -167,7 +176,9 @@ def degenerate(x: Simplex, i: int) -> Simplex:
     rest = list(word)
     while rest and i <= rest[0]:
         head.append(rest.pop(0) + 1)
-    return Simplex((*head, i, *rest), gen)
+    word = (*head, i, *rest)
+    # s_i with i in range keeps a normal form normal
+    return _new(Simplex, (word, gen)) if type(x) is Simplex else Simplex(word, gen)
 
 
 def apply_word(base: Simplex, ops: Sequence[int]) -> Simplex:
@@ -330,6 +341,14 @@ class Presentation:
             if g.dim >= 1 and g not in table:
                 raise StructureError(f"missing face entries for {g}")
         self._faces = table
+        # faces over unknown generators, fatal to validate; found once, here,
+        # as the builders that skip this constructor name only their own
+        self._dangling = tuple(
+            f"face d_{i} of {g} references unknown generator {f.gen}"
+            for g in self.all_generators()
+            for i, f in enumerate(table[g])
+            if f.gen not in table
+        )
 
     @classmethod
     def _from_checked(cls, generators, faces, top_dim, *, delta_style=False, name=None):
@@ -339,12 +358,14 @@ class Presentation:
         maps each of dimension n >= 1 to n + 1 simplices of dimension n - 1,
         as the public constructor checks, and nothing else but vertices to
         ``()``; it is taken over, with a ``()`` row set per vertex.  Only
-        ``top_dim`` is checked.
+        ``top_dim`` is checked: each face must be over one of
+        ``generators``, so none dangles.
         """
         self = cls.__new__(cls)
         self._assemble(generators, top_dim, delta_style, name)
         faces.update(dict.fromkeys(self.generators_at(0), ()))
         self._faces = faces
+        self._dangling = ()
         return self
 
     def _assemble(self, generators, top_dim, delta_style, name) -> None:
@@ -409,7 +430,8 @@ class Presentation:
 
         d_i is pushed through the degeneracy word with the three mixed
         identities; if it survives to the generator, the stored face is
-        substituted and the collected outer word is re-applied.
+        substituted and the collected outer word is re-applied.  As in
+        :func:`degenerate`, a plain tuple's result is checked.
         """
         word, gen = x
         if not self.has_generator(gen):
@@ -426,7 +448,8 @@ class Presentation:
             if i < w:
                 outer.append(w - 1)
             elif i == w or i == w + 1:
-                return Simplex((*outer, *rest), gen)
+                word = (*outer, *rest)
+                return _new(Simplex, (word, gen)) if type(x) is Simplex else Simplex(word, gen)
             else:
                 outer.append(w)
                 i -= 1
@@ -472,9 +495,7 @@ class Presentation:
             words = [
                 tuple(sorted(c, reverse=True)) for c in combinations(range(n), n - m)
             ]
-            for g in gens:
-                for w in words:
-                    out.append(Simplex(w, g))
+            out += [_new(Simplex, (w, g)) for g in gens for w in words]
         out.sort(key=simplex_key)
         result = tuple(out)
         self._simplices_cache[n] = result
@@ -534,22 +555,15 @@ class Presentation:
     def validate(self) -> ValidationReport:
         """Check face targets and the d_i d_j = d_{j-1} d_i identity.
 
-        Dangling generator references are fatal and reported before any
-        identity is evaluated.  Both sides are read off the face rows of
-        the stored faces of each generator: a generator face's row is its
-        stored one, and a degenerate face's row is computed once per
-        distinct simplex, however many generators share it, and kept only
-        for this call.
+        Dangling generator references, found when the presentation was
+        built, are fatal and reported before any identity is evaluated.
+        Both sides are read off the face rows of the stored faces of each
+        generator: a generator face's row is its stored one, and a
+        degenerate face's row is computed once per distinct simplex,
+        however many generators share it, and kept only for this call.
         """
-        fatal = []
-        for g in self.all_generators():
-            for i, f in enumerate(self.faces_of(g)):
-                if f.gen not in self._faces:
-                    fatal.append(
-                        f"face d_{i} of {g} references unknown generator {f.gen}"
-                    )
-        if fatal:
-            return ValidationReport(tuple(fatal), ())
+        if self._dangling:
+            return ValidationReport(self._dangling, ())
         violations = []
         degenerate_rows: dict[Simplex, tuple[Simplex, ...]] = {}
 

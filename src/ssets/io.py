@@ -45,6 +45,7 @@ from .core import (
     Presentation,
     Simplex,
     SsetError,
+    _new,
     apply_word,
     format_simplex,
 )
@@ -69,20 +70,43 @@ class NormalizationWarning(UserWarning):
 
 
 _MAP_HEADS = ("name", "source", "target", "assign")
-_NAME_RE = re.compile(r"[^\s;:#]+$")
 _DEGEN_RE = re.compile(r"s(\d+)$")
-# _NAME_RE and not _DEGEN_RE, in one match
-_VALID_NAME_RE = re.compile(r"(?!s\d+$)[^\s;:#]+$")
-# an empty entry of a faces line, searched for in f";{exprs};"
-_EMPTY_ENTRY_RE = re.compile(r";\s*;")
+# Whitespace-separated names the grammar holds: none holds ';', ':' or '#',
+# and none is a degeneracy operator.  Each name is a maximal non-space run,
+# so a match takes linear time; it keeps backtracking state for each name it
+# has passed, so a long line is matched in windows.
+_NAMES_RE = re.compile(r"\s*(?:(?!s\d+(?:\s|\Z))[^\s;:#]+(?:\s+|\Z))*\Z")
+
+
+def _is_name(name: str) -> bool:
+    """Whether the file grammar holds ``name`` as one generator name."""
+    return name.split() == [name] and _NAMES_RE.match(name) is not None
 
 
 def _check_name(name: str, line: int) -> str:
-    if _VALID_NAME_RE.match(name):
+    if _is_name(name):
         return name
-    if not _NAME_RE.match(name):
+    if not _DEGEN_RE.fullmatch(name):
         raise ParseError(f"invalid name {name!r}", line)
     raise ParseError(f"name {name!r} collides with degeneracy-operator syntax", line)
+
+
+def _check_names(names: str, line: int) -> list[str]:
+    """The whitespace-separated names of ``names``, each passing :func:`_check_name`.
+
+    Windows of about 1 KiB, cut at spaces, are matched whole; the names
+    are checked one by one only when a window fails.
+    """
+    end, size = 0, len(names)
+    while end < size:
+        pos, end = end, names.find(" ", end + 1024)
+        if end < 0:
+            end = size
+        if not _NAMES_RE.match(names, pos, end):
+            for n in names.split():
+                _check_name(n, line)
+            break
+    return names.split()
 
 
 def _directives(chunks, heads):
@@ -92,9 +116,11 @@ def _directives(chunks, heads):
     """
     lineno = 0
     for chunk in chunks:
-        for raw in chunk.splitlines():
+        for line in chunk.splitlines():
             lineno += 1
-            line = raw.split("#", 1)[0].strip()
+            if "#" in line:
+                line = line.partition("#")[0]
+            line = line.strip()
             if line:
                 head, _, rest = line.partition(" ")
                 if head not in heads:
@@ -205,6 +231,12 @@ def loads_presentation(text: str, name: str | None = None) -> Presentation:
 def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     """Parse a document from chunks, resolving each faces line as it is read.
 
+    Each name and each entry is checked once, where it is read: a faces
+    line names a declared generator or has its name checked, and the
+    generators and simplices built from checked parts skip the
+    constructors' checks.  ``top_dim`` and ``style`` may each be given
+    once; of several ``name`` lines the last wins.
+
     A faces line is resolved when read if its generator is already known
     and unambiguous, no earlier faces line named it, its entry count is
     right and every entry resolves silently (:func:`_resolve`); such a
@@ -215,7 +247,7 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     when a generators line follows; pass two checks it again, at the
     resolved line's turn.
     """
-    style = "simplicial"
+    style = None
     top_dim = None
     # gens maps each dimension, in the order of first appearance, to its
     # generators by name; carrier maps a name to its generator of dimension
@@ -224,7 +256,7 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     carrier: dict[str, GenId | None] = {}
     duplicates: dict[int, str] = {}  # per dimension, its first name read twice
     faces: dict[GenId, tuple[Simplex, ...]] = {}
-    deferred: list[tuple[int, str, str]] = []
+    deferred: list[tuple[int, str, list[str]]] = []
     # per row of faces, in its order, the count of lines deferred before it:
     # one shared int while no line is deferred in between
     before: list[int] = []
@@ -244,7 +276,7 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     def memo_of(dim):
         memo = memos.get(dim)
         if memo is None:
-            memo = memos[dim] = {n: Simplex((), g) for n, g in gens.get(dim, {}).items()}
+            memo = memos[dim] = {n: _new(Simplex, ((), g)) for n, g in gens.get(dim, {}).items()}
         return memo
 
     def silent(text, dim, memo):
@@ -256,23 +288,32 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     heads = ("faces", "name", "style", "top_dim", "generators")
     for lineno, head, rest in _directives(chunks, heads):
         if head == "faces":  # the most common line first
-            gen_name, exprs = _key_value(head, rest, lineno)
-            _check_name(gen_name, lineno)
-            if _EMPTY_ENTRY_RE.search(f";{exprs};"):
-                raise ParseError("empty face expression", lineno)
+            gen_name, sep, exprs = rest.partition(":")
+            if not sep:
+                raise ParseError("faces line needs a ':'", lineno)
+            gen_name = gen_name.strip()
             g = carrier.get(gen_name)
+            if g is None and gen_name not in carrier:  # declared names were checked
+                _check_name(gen_name, lineno)
+            entries = list(map(str.strip, exprs.split(";")))
+            if "" in entries:
+                raise ParseError("empty face expression", lineno)
             row = None
-            if g is not None and g not in faces and gen_name not in deferred_names:
-                entries = exprs.split(";")
-                if len(entries) == g.dim + 1:
-                    d = g.dim - 1
+            if (
+                g is not None
+                and len(entries) == g.dim + 1
+                and g not in faces
+                and gen_name not in deferred_names
+            ):
+                d = g.dim - 1
+                memo = memos.get(d)
+                if memo is None:
                     memo = memo_of(d)
-                    row = tuple(map(memo.get, map(str.strip, entries)))
-                    if None in row:
-                        texts = map(str.strip, entries)
-                        row = tuple([memo.get(e) or silent(e, d, memo) for e in texts])
+                row = tuple(map(memo.get, entries))
+                if None in row:
+                    row = tuple([memo.get(e) or silent(e, d, memo) for e in entries])
             if row is None or None in row:
-                deferred.append((lineno, gen_name, exprs))
+                deferred.append((lineno, gen_name, entries))
                 deferred_names.add(gen_name)
                 deferred_count = len(deferred)
             else:
@@ -281,10 +322,14 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
         elif head == "name":
             doc_name = rest or doc_name
         elif head == "style":
+            if style is not None:
+                raise ParseError("duplicate style line", lineno)
             if rest not in ("simplicial", "delta"):
                 raise ParseError(f"unknown style {rest!r}", lineno)
             style = rest
         elif head == "top_dim":
+            if top_dim is not None:
+                raise ParseError("duplicate top_dim line", lineno)
             try:
                 top_dim = int(rest)
             except ValueError:
@@ -299,12 +344,11 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
                 raise ParseError("dimension must be >= 0", lineno)
             generators_after_faces |= bool(faces)
             named = gens.setdefault(dim, {})
-            for n in names.split():
-                _check_name(n, lineno)
+            for n in _check_names(names, lineno):
                 if n in named:
                     duplicates.setdefault(dim, n)
                     continue
-                named[n] = g = GenId(dim, n)
+                named[n] = g = _new(GenId, (dim, n))
                 if dim >= 1:
                     carrier[n] = None if n in carrier else g
     if top_dim is None:
@@ -323,7 +367,7 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     late: dict[GenId, tuple[Simplex, ...]] = {}
     deferred.reverse()  # popped in line order, so each is freed once read
     for _ in range(len(deferred) if ambiguous is None else ambiguous[0]):
-        lineno, gen_name, exprs = deferred.pop()
+        lineno, gen_name, entries = deferred.pop()
         if gen_name not in carrier:
             raise SemanticError(
                 f"faces given for unknown or zero-dimensional generator {gen_name!r}"
@@ -335,7 +379,6 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             )
         if g in faces or g in late:
             raise SemanticError(f"duplicate face entries for {gen_name!r}")
-        entries = exprs.split(";")
         if len(entries) != g.dim + 1:
             raise SemanticError(
                 f"generator {gen_name!r} needs {g.dim + 1} faces, got {len(entries)}"
@@ -346,17 +389,20 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             memo.get(e)
             or silent(e, d, memo)
             or parse_face_expression(e, d, lookup, lineno)
-            for e in map(str.strip, entries)
+            for e in entries
         )
     if ambiguous is not None:
         raise SemanticError(
             f"ambiguous generator name {ambiguous[1].name!r}; duplicate across dimensions"
         )
     faces.update(late)
-    for named in gens.values():
-        for g in named.values():
-            if g.dim and g not in faces:
-                raise SemanticError(f"generator {g.name!r} has no face entries")
+    # each row is keyed on a distinct generator of dimension >= 1, so a
+    # generator lacks one only if there are fewer rows than such generators
+    if len(faces) < sum(len(named) for dim, named in gens.items() if dim):
+        for named in gens.values():
+            for g in named.values():
+                if g.dim and g not in faces:
+                    raise SemanticError(f"generator {g.name!r} has no face entries")
     return Presentation._from_checked(
         (g for named in gens.values() for g in named.values()),
         faces,
@@ -366,10 +412,22 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     )
 
 
-def _check_writable(names) -> None:
-    """Refuse the first of the generator names that the file grammar cannot hold."""
+def _check_writable(names: list[str]) -> None:
+    """Refuse the first of one dimension's names that the file grammar cannot hold.
+
+    Runs of 64 names pass at once when, joined by spaces, they read back
+    as themselves and as valid names; the names are checked one by one
+    only when a run fails.
+    """
+    for k in range(0, len(names), 64):
+        run = names[k : k + 64]
+        line = " ".join(run)
+        if not (_NAMES_RE.match(line) and line.split() == run):
+            break
+    else:
+        return
     for n in names:
-        if not _VALID_NAME_RE.match(n):
+        if not _is_name(n):
             raise SemanticError(
                 f"generator name {n!r} cannot be written in the file grammar"
             )
@@ -377,7 +435,8 @@ def _check_writable(names) -> None:
 
 def _document_lines(p: Presentation):
     """Check that p can be written, then return a generator of its lines."""
-    _check_writable(g.name for g in p.all_generators())
+    for d in range(p.max_generator_dim + 1):
+        _check_writable([g.name for g in p.generators_at(d)])
     name = p.name  # it must read back: no '#', no line break, no outer whitespace
     if name and ("#" in name or name != name.strip() or len(name.splitlines()) > 1):
         raise SemanticError(

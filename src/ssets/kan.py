@@ -135,10 +135,10 @@ def kan_check(p: Presentation, max_n: int) -> KanReport:
             def backtrack(pos: int, chosen: dict[int, Simplex]):
                 nonlocal checked
                 if pos == len(slots):
-                    h = HornSpec.from_faces(n, k, chosen)
+                    faces = tuple([chosen.get(i) for i in range(n + 1)])  # slot k is None
                     checked += 1
-                    if not p.matching(n, h.faces):
-                        witnesses.append(h)
+                    if not p.matching(n, faces):
+                        witnesses.append(HornSpec(n, k, faces))
                     return
                 # slots are filled in increasing order, so previous ones are < j
                 # and the face d_i x must equal d_{j-1} of the face in slot i

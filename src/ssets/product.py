@@ -19,6 +19,7 @@ from .core import (
     Record,
     Simplex,
     StructureError,
+    _new,
     apply_word,
     compact_simplex,
     vertex_simplex,
@@ -71,8 +72,8 @@ class ProductPresentation(Presentation):
 
 
 def _cell(a: Simplex, b: Simplex, a_name=compact_simplex, b_name=compact_simplex) -> GenId:
-    """The product cell of a pair with disjoint words, by its name."""
-    return GenId(a.dim, f"({a_name(a)}|{b_name(b)})")
+    """The product cell of a pair of simplices with disjoint words, by its name."""
+    return _new(GenId, (a.dim, f"({a_name(a)}|{b_name(b)})"))
 
 
 def _extract_common(left, right, a, b):
@@ -126,7 +127,8 @@ def product(x: Presentation, y: Presentation) -> ProductPresentation:
     pair sharing an index is put in canonical form once.  Factor face
     rows are built over the objects of ``simplices(n - 1)``; rows and
     memos live for one dimension.  The table is valid by construction,
-    so the result is not checked again.
+    so the result is not checked again, and its generators and simplices
+    are built from checked parts without the constructors' checks.
     """
     faces: dict[GenId, tuple[Simplex, ...]] = {}
     below: dict[tuple[Simplex, Simplex], Simplex] = {}
@@ -134,7 +136,7 @@ def product(x: Presentation, y: Presentation) -> ProductPresentation:
     def pair_simplex(a, b):
         if (a, b) not in below:
             word, a0, b0 = _extract_common(x, y, a, b)
-            below[(a, b)] = Simplex(word, _cell(a0, b0))
+            below[(a, b)] = _new(Simplex, (word, _cell(a0, b0)))
         return below[(a, b)]
 
     for n in range(x.max_generator_dim + y.max_generator_dim + 1):
@@ -150,7 +152,7 @@ def product(x: Presentation, y: Presentation) -> ProductPresentation:
                 raise StructureError(
                     f"pairs ({a1}, {b1}) and ({a}, {b}) are both named {g.name!r}"
                 )
-            cells[ab] = Simplex((), g)
+            cells[ab] = _new(Simplex, ((), g))
             row = ()
             if n:
                 fa, fb = x_row(a), y_row(b)

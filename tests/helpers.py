@@ -9,6 +9,7 @@ engine, so agreement between the two is a real check.
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations, product as iproduct
 from math import gcd
 
@@ -26,7 +27,6 @@ from ssets import (
 from ssets.constructions import BASEPOINT_NAME
 from ssets.core import DDViolation, format_simplex
 from ssets.io import (
-    _EMPTY_ENTRY_RE,
     ParseError,
     SemanticError,
     _check_name,
@@ -241,6 +241,9 @@ def scan_violations(p: Presentation) -> tuple[DDViolation, ...]:
 
 # -- two-pass reference for the presentation loader -----------------------------
 
+# an empty entry of a faces line, searched for in f";{exprs};"
+EMPTY_ENTRY_RE = re.compile(r";\s*;")
+
 
 def two_pass_read_presentation(chunks, doc_name: str | None) -> Presentation:
     """The reference loader: every faces line stays raw text until pass two.
@@ -248,7 +251,7 @@ def two_pass_read_presentation(chunks, doc_name: str | None) -> Presentation:
     ``ssets.io._read_presentation`` resolves most faces lines as it reads
     them; its outcomes, warnings and errors included, must be this one's.
     """
-    style = "simplicial"
+    style = None
     top_dim = None
     gens_by_dim: dict[int, list[str]] = {}
     face_lines: list[tuple[int, str, str]] = []
@@ -257,16 +260,20 @@ def two_pass_read_presentation(chunks, doc_name: str | None) -> Presentation:
         if head == "faces":  # the most common line first
             gen_name, exprs = _key_value(head, rest, lineno)
             _check_name(gen_name, lineno)
-            if _EMPTY_ENTRY_RE.search(f";{exprs};"):
+            if EMPTY_ENTRY_RE.search(f";{exprs};"):
                 raise ParseError("empty face expression", lineno)
             face_lines.append((lineno, gen_name, exprs))
         elif head == "name":
             doc_name = rest or doc_name
         elif head == "style":
+            if style is not None:
+                raise ParseError("duplicate style line", lineno)
             if rest not in ("simplicial", "delta"):
                 raise ParseError(f"unknown style {rest!r}", lineno)
             style = rest
         elif head == "top_dim":
+            if top_dim is not None:
+                raise ParseError("duplicate top_dim line", lineno)
             try:
                 top_dim = int(rest)
             except ValueError:

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -207,6 +209,93 @@ def test_unserializable_names_rejected_on_save():
     p = S.Presentation([S.GenId(0, "a:b")], {})
     with pytest.raises(sio.SemanticError):
         sio.dumps_presentation(p)
+    # a name ending in a line feed once passed, and read back as another name
+    with pytest.raises(sio.SemanticError, match=r"'a\\n' cannot be written"):
+        sio.dumps_presentation(S.Presentation([S.GenId(0, "a\n")], {}))
+
+
+# name characters, separators and every kind of whitespace, including line
+# breaks and Unicode spaces; "٣" is a decimal digit outside ASCII
+NAME_ALPHABET = "ss0919٣a.;:#" + " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+
+
+def name_error(n):
+    """What is wrong with a generator name, by the grammar's words, or None."""
+    if not n or any(c.isspace() or c in ";:#" for c in n):
+        return "invalid name"
+    if n[0] == "s" and n[1:].isdecimal():
+        return "collides"
+    return None
+
+
+def test_whole_line_name_check_matches_the_per_name_rules():
+    rng = random.Random(20)
+    for _ in range(20_000):
+        line = "".join(rng.choices(NAME_ALPHABET, k=rng.randint(0, 12)))
+        errors = [e for e in map(name_error, line.split()) if e]
+        assert bool(sio._NAMES_RE.match(line)) == (not errors), repr(line)
+    for _ in range(300):  # lines longer than a window, bad names anywhere
+        names = ["".join(rng.choices("s09a.;", k=rng.randint(1, 4))) for _ in range(400)]
+        line = rng.choice(" \t").join(names)
+        bad = next((n for n in names if name_error(n)), None)
+        if bad is None:
+            assert sio._check_names(line, 1) == names
+            continue
+        with pytest.raises(sio.ParseError) as caught:
+            sio._check_names(line, 1)
+        assert repr(bad) in str(caught.value)
+        assert ("collides" in str(caught.value)) == (name_error(bad) == "collides")
+
+
+def test_writer_name_check_matches_the_per_name_rules():
+    rng = random.Random(21)
+    for _ in range(3_000):
+        names = [
+            "".join(rng.choices(NAME_ALPHABET, k=rng.randint(0, 4)))
+            for _ in range(rng.randint(0, 150))
+        ]
+        bad = next((n for n in names if name_error(n)), None)
+        if bad is None:
+            sio._check_writable(names)
+            continue
+        with pytest.raises(sio.SemanticError) as caught:
+            sio._check_writable(names)
+        assert str(caught.value) == f"generator name {bad!r} cannot be written in the file grammar"
+
+
+def test_a_long_generators_line_reports_its_bad_last_name_at_once(tmp_path):
+    names = " ".join(f"v{k}" for k in range(19_999))
+    path = tmp_path / "long.sset"
+    for bad, message in (
+        ("s7", "line 2: name 's7' collides with degeneracy-operator syntax"),
+        ("v;", "line 2: invalid name 'v;'"),
+    ):
+        path.write_text(f"top_dim 0\ngenerators 0 : {names} {bad}\n")
+        for load in (
+            lambda: sio.loads_presentation(path.read_text()),
+            lambda: sio.load_presentation(path),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(sio.ParseError) as caught:
+                load()
+            assert time.perf_counter() - start < 1
+            assert (str(caught.value), caught.value.line) == (message, 2)
+    path.write_text(f"top_dim 0\ngenerators 0 : {names}\n")
+    assert sio.load_presentation(path).generator_counts() == (19_999,)
+
+
+@pytest.mark.parametrize("head, value", [("top_dim", "2"), ("style", "delta")])
+def test_a_second_top_dim_or_style_line_is_a_parse_error(head, value):
+    doc = f"{head} {value}\ntop_dim 1\nstyle simplicial\ngenerators 0 : v\n"
+    with pytest.raises(sio.ParseError) as caught:
+        sio.loads_presentation(doc)
+    line = 2 if head == "top_dim" else 3
+    assert (str(caught.value), caught.value.line) == (f"line {line}: duplicate {head} line", line)
+
+
+def test_the_last_name_line_wins():
+    p = sio.loads_presentation("name a\ntop_dim 0\nname b\ngenerators 0 : v\n")
+    assert p.name == "b"
 
 
 @pytest.mark.parametrize(

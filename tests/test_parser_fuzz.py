@@ -12,7 +12,7 @@ The map and group-table readers are pinned the same way, in
 ``golden/reader_mutants.json``: mutants of ``collapse.smap`` read as a
 string against the ``delta2`` and ``delta1`` fixtures and from a file
 beside a copy of the fixtures (so its ``source`` and ``target`` lines
-are followed), and mutants of ``z3.table``.  Re-record that file with
+are followed), and mutants of ``z3.table``.  Re-record both files with
 ``PYTHONPATH=src python tests/test_parser_fuzz.py``.
 """
 
@@ -367,9 +367,12 @@ def test_map_file_reports_a_bad_line_no_later_than_the_string_reader(reader_pins
 if __name__ == "__main__":
     import tempfile
 
+    # one outcome a line
+    GOLDEN.write_text("[\n" + ",\n".join(
+        json.dumps(recorded_outcome(text), sort_keys=True) for text in mutants(SEED, CASES)
+    ) + "\n]\n")
     with tempfile.TemporaryDirectory() as tmp:
         outcomes = reader_outcomes(Path(tmp))
-    # one outcome a line, as in parser_mutants.json
     READER_GOLDEN.write_text("{\n" + ",\n".join(
         f"{json.dumps(reader)}: [\n" + ",\n".join(json.dumps(o, sort_keys=True) for o in pins) + "\n]"
         for reader, pins in outcomes.items()
