@@ -7,7 +7,8 @@ and 1 when the mathematics said no (validation failure, unfillable horn,
 non-homotopic simplices).  ``main`` turns a required horn without a
 filler into 1 with an ``obstruction:`` line, and anything that kept the
 tool from running (usage, IO, parse, truncation, refused input) into 2
-with an ``error:`` line.
+with an ``error:`` line.  ``run`` is the process entry, for ``python -m
+ssets.cli`` and the ``ssets`` script: it exits with ``main``'s code.
 
 ``--format structured`` switches the payload to a stable JSON document;
 repeated runs over the same inputs are byte-identical.  Each handler
@@ -17,6 +18,7 @@ imports the engine modules it uses, so a job runs only those.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import warnings
@@ -437,5 +439,21 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """Run :func:`main` on ``sys.argv`` and exit the process with its code.
+
+    Every way out, argparse's own exits for ``--help`` and usage errors
+    included, first moves what the process holds into the collector's
+    permanent generation (``gc.freeze``).  The collections that
+    interpreter finalization runs regardless of thresholds or
+    ``gc.disable`` then skip those objects, which die with the process.
+    ``main`` itself never touches ``gc``.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -137,12 +137,13 @@ def nerve(group: GroupTable, top_dim: int) -> Presentation:
             s = simplex_of[t] = Simplex(word, simplex_of[u].gen)
         return s
 
-    gens = [base]
+    gens = {0: [base]}
     faces = {}
     for m in range(1, top_dim + 1):
+        gens_m = gens[m] = []
         for t in iproduct(others, repeat=m):
             g = GenId(m, ",".join([names[x] for x in t]))
-            gens.append(g)
+            gens_m.append(g)
             if m < top_dim:
                 simplex_of[t] = Simplex((), g)
             faces[g] = (

@@ -309,13 +309,15 @@ class Presentation:
         name: str | None = None,
     ):
         seen: set[GenId] = set()
+        by_dim: dict[int, list[GenId]] = {}
         for g in generators:
             if not isinstance(g, GenId):
                 raise StructureError(f"generator {g!r} is not a GenId")
             if g in seen:
                 raise StructureError(f"duplicate generator {g}")
             seen.add(g)
-        self._assemble(seen, top_dim, delta_style, name)
+            by_dim.setdefault(g.dim, []).append(g)
+        self._assemble(by_dim, top_dim, delta_style, name)
         table: dict[GenId, tuple[Simplex, ...]] = dict.fromkeys(self.generators_at(0), ())
         for g, fs in faces.items():
             if not isinstance(g, GenId):
@@ -351,32 +353,30 @@ class Presentation:
         )
 
     @classmethod
-    def _from_checked(cls, generators, faces, top_dim, *, delta_style=False, name=None):
+    def _from_checked(cls, by_dim, faces, top_dim, *, delta_style=False, name=None):
         """A presentation over tables its builder has already checked.
 
-        ``generators`` is a collection of distinct ``GenId``s, and ``faces``
-        maps each of dimension n >= 1 to n + 1 simplices of dimension n - 1,
-        as the public constructor checks, and nothing else but vertices to
-        ``()``; it is taken over, with a ``()`` row set per vertex.  Only
-        ``top_dim`` is checked: each face must be over one of
-        ``generators``, so none dangles.
+        ``by_dim`` maps each dimension to a collection of distinct
+        ``GenId``s of that dimension, in any order; a dimension may map to
+        none.  ``faces`` maps each generator of dimension n >= 1 to n + 1
+        simplices of dimension n - 1, as the public constructor checks, and
+        nothing else but vertices to ``()``; it is taken over, with a ``()``
+        row set per vertex.  Only ``top_dim`` is checked: each face must be
+        over one of the generators, so none dangles.
         """
         self = cls.__new__(cls)
-        self._assemble(generators, top_dim, delta_style, name)
+        self._assemble(by_dim, top_dim, delta_style, name)
         faces.update(dict.fromkeys(self.generators_at(0), ()))
         self._faces = faces
         self._dangling = ()
         return self
 
-    def _assemble(self, generators, top_dim, delta_style, name) -> None:
-        """Index the generators by dimension, check top_dim, set the caches."""
-        by_dim: dict[int, list[GenId]] = {}
-        for g in generators:
-            by_dim.setdefault(g.dim, []).append(g)
+    def _assemble(self, by_dim, top_dim, delta_style, name) -> None:
+        """Sort the generators of each dimension, check top_dim, set the caches."""
         self._by_dim: dict[int, tuple[GenId, ...]] = {
-            d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)
+            d: tuple(sorted(by_dim[d])) for d in sorted(by_dim) if by_dim[d]
         }
-        self.max_generator_dim = max(by_dim, default=0)
+        self.max_generator_dim = max(self._by_dim, default=0)
         if top_dim is None:
             top_dim = self.max_generator_dim
         if top_dim < self.max_generator_dim:

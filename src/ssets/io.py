@@ -404,7 +404,7 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
                 if g.dim and g not in faces:
                     raise SemanticError(f"generator {g.name!r} has no face entries")
     return Presentation._from_checked(
-        (g for named in gens.values() for g in named.values()),
+        {dim: named.values() for dim, named in gens.items()},
         faces,
         top_dim,
         delta_style=(style == "delta"),

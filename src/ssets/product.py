@@ -131,6 +131,7 @@ def product(x: Presentation, y: Presentation) -> ProductPresentation:
     are built from checked parts without the constructors' checks.
     """
     faces: dict[GenId, tuple[Simplex, ...]] = {}
+    by_dim: dict[int, list[GenId]] = {}
     below: dict[tuple[Simplex, Simplex], Simplex] = {}
 
     def pair_simplex(a, b):
@@ -144,6 +145,7 @@ def product(x: Presentation, y: Presentation) -> ProductPresentation:
         x_name, y_name = cache(compact_simplex), cache(compact_simplex)
         x_row, y_row = _row_reader(x, n), _row_reader(y, n)
         cells = {}
+        gens = by_dim[n] = []
         for ab in _compatible_pairs(xs, ys):
             a, b = ab
             g = _cell(a, b, x_name, y_name)
@@ -153,6 +155,7 @@ def product(x: Presentation, y: Presentation) -> ProductPresentation:
                     f"pairs ({a1}, {b1}) and ({a}, {b}) are both named {g.name!r}"
                 )
             cells[ab] = _new(Simplex, ((), g))
+            gens.append(g)
             row = ()
             if n:
                 fa, fb = x_row(a), y_row(b)
@@ -162,7 +165,7 @@ def product(x: Presentation, y: Presentation) -> ProductPresentation:
             faces[g] = row
         below = cells
     p = ProductPresentation._from_checked(
-        faces, faces, x.top_dim + y.top_dim, name=f"({x.name or '?'}x{y.name or '?'})"
+        by_dim, faces, x.top_dim + y.top_dim, name=f"({x.name or '?'}x{y.name or '?'})"
     )
     p.left, p.right, p._pairs = x, y, {}
     return p

@@ -26,14 +26,7 @@ from ssets import (
 )
 from ssets.constructions import BASEPOINT_NAME
 from ssets.core import DDViolation, format_simplex
-from ssets.io import (
-    ParseError,
-    SemanticError,
-    _check_name,
-    _directives,
-    _key_value,
-    parse_face_expression,
-)
+from ssets.io import ParseError, SemanticError, parse_face_expression
 from ssets.homology import sparse_smith_normal_form
 
 
@@ -245,21 +238,67 @@ def scan_violations(p: Presentation) -> tuple[DDViolation, ...]:
 EMPTY_ENTRY_RE = re.compile(r";\s*;")
 
 
+def check_name(name: str, line: int) -> str:
+    """A generator name: one run of non-space characters without ';', ':' or '#'.
+
+    The reference for ``ssets.io._check_name``, written without its
+    regular expression; ``s`` followed by decimal digits is an operator.
+    """
+    if name.split() != [name] or not set(name).isdisjoint(";:#"):
+        raise ParseError(f"invalid name {name!r}", line)
+    if name[0] == "s" and name[1:].isdecimal():
+        raise ParseError(f"name {name!r} collides with degeneracy-operator syntax", line)
+    return name
+
+
+def directives(chunks, heads):
+    """``(line number, head, rest)`` of each line that holds more than a comment.
+
+    The reference for ``ssets.io._directives``: lines as str.splitlines
+    cuts each chunk, everything from the first '#' on dropped, and the
+    head the text before the first space.
+    """
+    lineno = 0
+    for chunk in chunks:
+        for raw in chunk.splitlines():
+            lineno += 1
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            head, rest = (line.split(" ", 1) + [""])[:2]
+            if head not in heads:
+                raise ParseError(f"unknown directive {head!r}", lineno)
+            yield lineno, head, rest.strip()
+
+
+def key_value(head: str, rest: str, line: int) -> tuple[str, str]:
+    """``key : value`` split at the first ':', the key stripped, the value not.
+
+    The reference for ``ssets.io._key_value``.
+    """
+    if ":" not in rest:
+        raise ParseError(f"{head} line needs a ':'", line)
+    key, value = rest.split(":", 1)
+    return key.strip(), value
+
+
 def two_pass_read_presentation(chunks, doc_name: str | None) -> Presentation:
     """The reference loader: every faces line stays raw text until pass two.
 
     ``ssets.io._read_presentation`` resolves most faces lines as it reads
     them; its outcomes, warnings and errors included, must be this one's.
+    Lines, names and ``key : value`` splits are read by the functions
+    above, so none of the loader's own pieces is checked against itself.
     """
     style = None
     top_dim = None
     gens_by_dim: dict[int, list[str]] = {}
     face_lines: list[tuple[int, str, str]] = []
     heads = ("faces", "name", "style", "top_dim", "generators")
-    for lineno, head, rest in _directives(chunks, heads):
+    for lineno, head, rest in directives(chunks, heads):
         if head == "faces":  # the most common line first
-            gen_name, exprs = _key_value(head, rest, lineno)
-            _check_name(gen_name, lineno)
+            gen_name, exprs = key_value(head, rest, lineno)
+            check_name(gen_name, lineno)
             if EMPTY_ENTRY_RE.search(f";{exprs};"):
                 raise ParseError("empty face expression", lineno)
             face_lines.append((lineno, gen_name, exprs))
@@ -279,7 +318,7 @@ def two_pass_read_presentation(chunks, doc_name: str | None) -> Presentation:
             except ValueError:
                 raise ParseError(f"bad top_dim {rest!r}", lineno) from None
         else:  # generators
-            dim_text, names = _key_value(head, rest, lineno)
+            dim_text, names = key_value(head, rest, lineno)
             try:
                 dim = int(dim_text)
             except ValueError:
@@ -288,7 +327,7 @@ def two_pass_read_presentation(chunks, doc_name: str | None) -> Presentation:
                 raise ParseError("dimension must be >= 0", lineno)
             bucket = gens_by_dim.setdefault(dim, [])
             for n in names.split():
-                _check_name(n, lineno)
+                check_name(n, lineno)
                 bucket.append(n)
     if top_dim is None:
         raise ParseError("document is missing a top_dim line")
@@ -354,8 +393,9 @@ def two_pass_read_presentation(chunks, doc_name: str | None) -> Presentation:
     for g in by_key:
         if g.dim >= 1 and g not in faces:
             raise SemanticError(f"generator {g.name!r} has no face entries")
+    by_dim = {dim: [by_key[(dim, n)] for n in names] for dim, names in gens_by_dim.items()}
     return Presentation._from_checked(
-        by_key, faces, top_dim, delta_style=(style == "delta"), name=doc_name
+        by_dim, faces, top_dim, delta_style=(style == "delta"), name=doc_name
     )
 
 

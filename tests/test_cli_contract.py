@@ -19,6 +19,7 @@ argument lists with ``PYTHONPATH=src python tests/test_cli_contract.py``.
 """
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -57,7 +58,10 @@ def _files(path):
 def in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own exit, on --help or a usage error
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -129,21 +133,35 @@ def test_parser_structure_is_unchanged():
     assert parser_structure(cli.build_parser()) == PARSER
 
 
-def _first_run_of_each_command():
+def _first_runs(key):
     first = {}
     for run in CONTRACT["runs"]:
-        first.setdefault(run["argv"][2], run)
+        first.setdefault(key(run), run)
     return list(first.values())
 
 
-def _subprocess(argv):
+FIRST_OF_EACH_EXIT = _first_runs(lambda run: run["exit"])
+# the first run of each command, then of each exit code, once each
+FIRST_RUNS = list(
+    {_argv_id(run): run for run in _first_runs(lambda run: run["argv"][2]) + FIRST_OF_EACH_EXIT}
+    .values()
+)
+
+
+# a required option left out: argparse prints the usage and exits 2
+USAGE_ERROR = ["--format", "text", "census", "fixtures/delta1.sset"]
+
+
+def _python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    done = subprocess.run(
-        [sys.executable, "-m", "ssets.cli", *argv], env=env, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def _subprocess(argv):
+    done = _python("-m", "ssets.cli", *argv)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -151,11 +169,50 @@ def test_the_contract_covers_every_subcommand():
     assert {r["argv"][2] for r in CONTRACT["runs"]} == set(PARSER["commands"])
 
 
-@pytest.mark.parametrize("run", _first_run_of_each_command(), ids=_argv_id)
+@pytest.mark.parametrize("run", FIRST_RUNS, ids=_argv_id)
 def test_python_m_ssets_cli_keeps_the_contract(run, tmp_path):
-    # a fresh interpreter: covers what importing the CLI does
+    # a fresh interpreter: covers what importing the CLI does, and the
+    # process entry's exit with each code
     got = run_in(_workdir(tmp_path, CONTRACT["documents"]), run["argv"], _subprocess)
     assert got == run, f"python -m ssets.cli {_argv_id(run)}"
+
+
+def test_python_m_ssets_cli_exits_on_a_usage_error_as_main_does(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    workdir = _workdir(tmp_path, CONTRACT["documents"])
+    want = run_in(workdir, USAGE_ERROR)
+    assert want["exit"] == 2 and want["stderr"].startswith("usage: ssets census")
+    assert run_in(workdir, USAGE_ERROR, _subprocess) == want
+
+
+# runs the CLI as ``python -m ssets.cli`` does; an atexit hook, which runs
+# before the collections of interpreter finalization, reports the freeze count
+FREEZE_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count()}", file=sys.stderr))
+runpy.run_module("ssets.cli", run_name="__main__")
+"""
+
+
+def _frozen_at_exit(argv):
+    done = _python("-c", FREEZE_AT_EXIT, *argv)
+    stderr, _, count = done.stderr.rpartition("frozen ")
+    return done.returncode, done.stdout, (stderr, int(count))
+
+
+@pytest.mark.parametrize(
+    "argv", [run["argv"] for run in FIRST_OF_EACH_EXIT] + [USAGE_ERROR], ids=" ".join
+)
+def test_only_the_process_entry_freezes_the_collector(argv, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    workdir = _workdir(tmp_path, CONTRACT["documents"])
+    state = gc.get_freeze_count(), gc.isenabled()
+    want = run_in(workdir, argv)
+    assert (gc.get_freeze_count(), gc.isenabled()) == state  # main leaves gc alone
+    got = run_in(workdir, argv, _frozen_at_exit)
+    stderr, frozen = got["stderr"]
+    assert frozen > 0, f"nothing frozen at the exit of {' '.join(argv)}"
+    assert {**got, "stderr": stderr} == want
 
 
 if __name__ == "__main__":
