@@ -71,42 +71,17 @@ class NormalizationWarning(UserWarning):
 
 _MAP_HEADS = ("name", "source", "target", "assign")
 _DEGEN_RE = re.compile(r"s(\d+)$")
-# Whitespace-separated names the grammar holds: none holds ';', ':' or '#',
-# and none is a degeneracy operator.  Each name is a maximal non-space run,
-# so a match takes linear time; it keeps backtracking state for each name it
-# has passed, so a long line is matched in windows.
-_NAMES_RE = re.compile(r"\s*(?:(?!s\d+(?:\s|\Z))[^\s;:#]+(?:\s+|\Z))*\Z")
-
-
-def _is_name(name: str) -> bool:
-    """Whether the file grammar holds ``name`` as one generator name."""
-    return name.split() == [name] and _NAMES_RE.match(name) is not None
+# A generator name the grammar holds: no whitespace, ';', ':' or '#', and
+# not a degeneracy operator.
+_NAME_RE = re.compile(r"(?!s\d+\Z)[^\s;:#]+\Z")
 
 
 def _check_name(name: str, line: int) -> str:
-    if _is_name(name):
+    if _NAME_RE.match(name):
         return name
     if not _DEGEN_RE.fullmatch(name):
         raise ParseError(f"invalid name {name!r}", line)
     raise ParseError(f"name {name!r} collides with degeneracy-operator syntax", line)
-
-
-def _check_names(names: str, line: int) -> list[str]:
-    """The whitespace-separated names of ``names``, each passing :func:`_check_name`.
-
-    Windows of about 1 KiB, cut at spaces, are matched whole; the names
-    are checked one by one only when a window fails.
-    """
-    end, size = 0, len(names)
-    while end < size:
-        pos, end = end, names.find(" ", end + 1024)
-        if end < 0:
-            end = size
-        if not _NAMES_RE.match(names, pos, end):
-            for n in names.split():
-                _check_name(n, line)
-            break
-    return names.split()
 
 
 def _directives(chunks, heads):
@@ -191,19 +166,6 @@ def _parse(text: str, dim: int, lookup, line: int | None) -> tuple[Simplex, bool
     return simplex, tuple(ops) == simplex.word
 
 
-def _resolve(text: str, dim: int, lookup) -> Simplex | None:
-    """The simplex of ``text`` if it resolves silently, else None.
-
-    Silently means with a canonical word and no error: what
-    :func:`parse_face_expression` returns without raising or warning.
-    """
-    try:
-        simplex, canonical = _parse(text, dim, lookup, None)
-    except SsetError:
-        return None
-    return simplex if canonical else None
-
-
 def parse_face_expression(
     text: str, dim: int, lookup, line: int | None = None
 ) -> Simplex:
@@ -237,15 +199,17 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     constructors' checks.  ``top_dim`` and ``style`` may each be given
     once; of several ``name`` lines the last wins.
 
-    A faces line is resolved when read if its generator is already known
-    and unambiguous, no earlier faces line named it, its entry count is
-    right and every entry resolves silently (:func:`_resolve`); such a
-    line keeps only the count of lines deferred before it.  Any other line
-    keeps its text for pass two, which reads the deferred lines in order
-    and raises or warns as a two-pass reader would.  Of what a resolved
-    line was checked against, only its name's carrier can change later,
-    when a generators line follows; pass two checks it again, at the
-    resolved line's turn.
+    One resolver reads a faces line in both passes.  Pass one resolves a
+    line if its generator is already known and unambiguous, no earlier
+    faces line named it, its entry count is right and every entry resolves
+    silently, with a canonical word and no error.  Any other line is
+    deferred with its text and its place: the count of rows resolved
+    before it.  Pass two hands the deferred lines to the resolver in
+    order, which now raises or warns as a two-pass reader would.  Of what
+    a resolved line was checked against, only its name's carrier can
+    change later, when a generators line follows; pass two then stops at
+    the first resolved row whose name became ambiguous, after the
+    deferred lines placed before it.
     """
     style = None
     top_dim = None
@@ -256,11 +220,8 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     carrier: dict[str, GenId | None] = {}
     duplicates: dict[int, str] = {}  # per dimension, its first name read twice
     faces: dict[GenId, tuple[Simplex, ...]] = {}
-    deferred: list[tuple[int, str, list[str]]] = []
-    # per row of faces, in its order, the count of lines deferred before it:
-    # one shared int while no line is deferred in between
-    before: list[int] = []
-    deferred_count = 0
+    # (rows resolved before it, line number, name, entries) of each deferred line
+    deferred: list[tuple[int, int, str, list[str]]] = []
     deferred_names: set[str] = set()
     generators_after_faces = False
 
@@ -279,11 +240,52 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             memo = memos[dim] = {n: _new(Simplex, ((), g)) for n, g in gens.get(dim, {}).items()}
         return memo
 
-    def silent(text, dim, memo):
-        simplex = _resolve(text, dim, lookup)
-        if simplex is not None:
+    def entry(text, dim, memo, lineno):
+        """The simplex of a text ``memo`` lacks, memoized if it resolves silently.
+
+        Otherwise pass one gets None, and pass two the error or warning.
+        """
+        try:
+            simplex, canonical = _parse(text, dim, lookup, None)
+        except SsetError:
+            canonical = False
+        if canonical:
             memo[text] = simplex
-        return simplex
+            return simplex
+        if lineno is None:
+            return None
+        return parse_face_expression(text, dim, lookup, lineno)
+
+    def resolve(gen_name, entries, lineno=None):
+        """Write the row of a faces line into ``faces`` and return True.
+
+        A line that does not resolve silently returns False in pass one (no
+        ``lineno``), which defers it, and raises or warns in pass two.
+        """
+        g = carrier.get(gen_name)
+        if g is None:
+            error = (
+                f"ambiguous generator name {gen_name!r}; duplicate across dimensions"
+                if gen_name in carrier
+                else f"faces given for unknown or zero-dimensional generator {gen_name!r}"
+            )
+        elif g in faces or (lineno is None and gen_name in deferred_names):
+            error = f"duplicate face entries for {gen_name!r}"
+        elif len(entries) != g.dim + 1:
+            error = f"generator {gen_name!r} needs {g.dim + 1} faces, got {len(entries)}"
+        else:
+            d = g.dim - 1
+            memo = memos.get(d) or memo_of(d)
+            row = tuple(map(memo.get, entries))
+            if None in row:
+                row = tuple([memo.get(e) or entry(e, d, memo, lineno) for e in entries])
+                if None in row:
+                    return False
+            faces[g] = row
+            return True
+        if lineno is None:
+            return False
+        raise SemanticError(error)
 
     heads = ("faces", "name", "style", "top_dim", "generators")
     for lineno, head, rest in _directives(chunks, heads):
@@ -292,33 +294,14 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             if not sep:
                 raise ParseError("faces line needs a ':'", lineno)
             gen_name = gen_name.strip()
-            g = carrier.get(gen_name)
-            if g is None and gen_name not in carrier:  # declared names were checked
+            if gen_name not in carrier:  # declared names were checked
                 _check_name(gen_name, lineno)
             entries = list(map(str.strip, exprs.split(";")))
             if "" in entries:
                 raise ParseError("empty face expression", lineno)
-            row = None
-            if (
-                g is not None
-                and len(entries) == g.dim + 1
-                and g not in faces
-                and gen_name not in deferred_names
-            ):
-                d = g.dim - 1
-                memo = memos.get(d)
-                if memo is None:
-                    memo = memo_of(d)
-                row = tuple(map(memo.get, entries))
-                if None in row:
-                    row = tuple([memo.get(e) or silent(e, d, memo) for e in entries])
-            if row is None or None in row:
-                deferred.append((lineno, gen_name, entries))
+            if not resolve(gen_name, entries):
+                deferred.append((len(faces), lineno, gen_name, entries))
                 deferred_names.add(gen_name)
-                deferred_count = len(deferred)
-            else:
-                faces[g] = row
-                before.append(deferred_count)
         elif head == "name":
             doc_name = rest or doc_name
         elif head == "style":
@@ -343,8 +326,12 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             if dim < 0:
                 raise ParseError("dimension must be >= 0", lineno)
             generators_after_faces |= bool(faces)
+            names = names.split()
+            if not all(map(_NAME_RE.match, names)):
+                for n in names:  # raises on the first bad name
+                    _check_name(n, lineno)
             named = gens.setdefault(dim, {})
-            for n in _check_names(names, lineno):
+            for n in names:
                 if n in named:
                     duplicates.setdefault(dim, n)
                     continue
@@ -358,44 +345,21 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             raise SemanticError(
                 f"duplicate generator {duplicates[dim]!r} in dimension {dim}"
             )
-    # the first resolved line whose name a later generators line made ambiguous
+    # the first resolved row whose name a later generators line made ambiguous
     ambiguous = None
     if generators_after_faces:
         ambiguous = next(
-            ((k, g) for k, g in zip(before, faces) if carrier[g.name] is None), None
+            ((k, g) for k, g in enumerate(faces) if carrier[g.name] is None), None
         )
-    late: dict[GenId, tuple[Simplex, ...]] = {}
+    stop = len(faces) if ambiguous is None else ambiguous[0]
     deferred.reverse()  # popped in line order, so each is freed once read
-    for _ in range(len(deferred) if ambiguous is None else ambiguous[0]):
-        lineno, gen_name, entries = deferred.pop()
-        if gen_name not in carrier:
-            raise SemanticError(
-                f"faces given for unknown or zero-dimensional generator {gen_name!r}"
-            )
-        g = carrier[gen_name]
-        if g is None:
-            raise SemanticError(
-                f"ambiguous generator name {gen_name!r}; duplicate across dimensions"
-            )
-        if g in faces or g in late:
-            raise SemanticError(f"duplicate face entries for {gen_name!r}")
-        if len(entries) != g.dim + 1:
-            raise SemanticError(
-                f"generator {gen_name!r} needs {g.dim + 1} faces, got {len(entries)}"
-            )
-        d = g.dim - 1
-        memo = memo_of(d)
-        late[g] = tuple(
-            memo.get(e)
-            or silent(e, d, memo)
-            or parse_face_expression(e, d, lookup, lineno)
-            for e in entries
-        )
+    while deferred and deferred[-1][0] <= stop:
+        _, lineno, gen_name, entries = deferred.pop()
+        resolve(gen_name, entries, lineno)
     if ambiguous is not None:
         raise SemanticError(
             f"ambiguous generator name {ambiguous[1].name!r}; duplicate across dimensions"
         )
-    faces.update(late)
     # each row is keyed on a distinct generator of dimension >= 1, so a
     # generator lacks one only if there are fewer rows than such generators
     if len(faces) < sum(len(named) for dim, named in gens.items() if dim):
@@ -413,24 +377,10 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
 
 
 def _check_writable(names: list[str]) -> None:
-    """Refuse the first of one dimension's names that the file grammar cannot hold.
-
-    Runs of 64 names pass at once when, joined by spaces, they read back
-    as themselves and as valid names; the names are checked one by one
-    only when a run fails.
-    """
-    for k in range(0, len(names), 64):
-        run = names[k : k + 64]
-        line = " ".join(run)
-        if not (_NAMES_RE.match(line) and line.split() == run):
-            break
-    else:
-        return
-    for n in names:
-        if not _is_name(n):
-            raise SemanticError(
-                f"generator name {n!r} cannot be written in the file grammar"
-            )
+    """Refuse the first of ``names`` that the file grammar cannot hold."""
+    if not all(map(_NAME_RE.match, names)):
+        bad = next(n for n in names if not _NAME_RE.match(n))
+        raise SemanticError(f"generator name {bad!r} cannot be written in the file grammar")
 
 
 def _document_lines(p: Presentation):

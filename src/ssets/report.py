@@ -67,17 +67,20 @@ def delta_realization_report(p: Presentation, max_dim: int) -> tuple[int, ...]:
 def incidence_export(p: Presentation) -> str:
     """Directed incidence graph of the nondegenerate cells, in DOT format.
 
-    Nodes are generators labeled name:dim; one arc per face index, from
-    each cell to the nondegenerate base of that face.  Order is
-    deterministic, so the output is diff-stable.
+    Nodes are generators labeled name:dim, quoted, with each '"' written
+    as '\\"', the only escape DOT reads in a quoted ID.  One arc per face
+    index, from each cell to the nondegenerate base of that face.  Order
+    is deterministic, so the output is diff-stable.
     """
+
+    def node(g):
+        return '"' + str(g).replace('"', '\\"') + '"'
+
     lines = ["digraph incidence {"]
     for g in p.all_generators():
-        lines.append(f'  "{g.name}:{g.dim}";')
+        lines.append(f"  {node(g)};")
     for g in p.all_generators():
         for i, f in enumerate(p.faces_of(g)):
-            lines.append(
-                f'  "{g.name}:{g.dim}" -> "{f.gen.name}:{f.gen.dim}" [label="{i}"];'
-            )
+            lines.append(f'  {node(g)} -> {node(f.gen)} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -228,21 +228,30 @@ def name_error(n):
     return None
 
 
-def test_whole_line_name_check_matches_the_per_name_rules():
+def test_name_pattern_matches_the_per_name_rules():
     rng = random.Random(20)
     for _ in range(20_000):
-        line = "".join(rng.choices(NAME_ALPHABET, k=rng.randint(0, 12)))
-        errors = [e for e in map(name_error, line.split()) if e]
-        assert bool(sio._NAMES_RE.match(line)) == (not errors), repr(line)
-    for _ in range(300):  # lines longer than a window, bad names anywhere
-        names = ["".join(rng.choices("s09a.;", k=rng.randint(1, 4))) for _ in range(400)]
-        line = rng.choice(" \t").join(names)
-        bad = next((n for n in names if name_error(n)), None)
-        if bad is None:
-            assert sio._check_names(line, 1) == names
+        name = "".join(rng.choices(NAME_ALPHABET, k=rng.randint(0, 6)))
+        error = name_error(name)
+        assert bool(sio._NAME_RE.match(name)) == (error is None), repr(name)
+        if error is None:
+            assert sio._check_name(name, 1) == name
             continue
         with pytest.raises(sio.ParseError) as caught:
-            sio._check_names(line, 1)
+            sio._check_name(name, 1)
+        assert ("collides" in str(caught.value)) == (error == "collides")
+    for _ in range(300):  # long generators lines, with one bad name anywhere or none
+        drawn = ["".join(rng.choices("s09a.;", k=rng.randint(1, 4))) for _ in range(800)]
+        names = list(dict.fromkeys(n for n in drawn if not name_error(n)))
+        bad = rng.choice([n for n in drawn if name_error(n)]) if rng.random() < 0.5 else None
+        if bad is not None:
+            names.insert(rng.randint(0, len(names)), bad)
+        doc = "top_dim 0\ngenerators 0 : " + rng.choice(" \t").join(names) + "\n"
+        if bad is None:
+            assert [g.name for g in sio.loads_presentation(doc).generators_at(0)] == sorted(names)
+            continue
+        with pytest.raises(sio.ParseError) as caught:
+            sio.loads_presentation(doc)
         assert repr(bad) in str(caught.value)
         assert ("collides" in str(caught.value)) == (name_error(bad) == "collides")
 
@@ -261,6 +270,35 @@ def test_writer_name_check_matches_the_per_name_rules():
         with pytest.raises(sio.SemanticError) as caught:
             sio._check_writable(names)
         assert str(caught.value) == f"generator name {bad!r} cannot be written in the file grammar"
+
+
+def test_a_presentation_saves_exactly_when_its_names_pass_and_loads_back_equal():
+    rng = random.Random(22)
+
+    def names(count):  # most from the name characters alone: about half the cases save
+        return dict.fromkeys(
+            "".join(rng.choices(
+                NAME_ALPHABET if rng.random() < 0.1 else NAME_ALPHABET[:9], k=rng.randint(1, 4)
+            ))
+            for _ in range(count)
+        )
+
+    for _ in range(2_000):
+        vertices = [Simplex((), S.GenId(0, n)) for n in names(rng.randint(1, 5))]
+        edges = {
+            S.GenId(1, n): (rng.choice(vertices), rng.choice(vertices))
+            for n in names(rng.randint(0, 4))
+        }
+        p = S.Presentation([v.gen for v in vertices] + list(edges), edges)
+        bad = [g.name for g in p.all_generators() if name_error(g.name)]
+        if bad:
+            with pytest.raises(sio.SemanticError) as caught:
+                sio.dumps_presentation(p)
+            assert str(caught.value) == (
+                f"generator name {bad[0]!r} cannot be written in the file grammar"
+            )
+            continue
+        assert sio.loads_presentation(sio.dumps_presentation(p)) == p
 
 
 def test_a_long_generators_line_reports_its_bad_last_name_at_once(tmp_path):

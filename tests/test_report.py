@@ -88,6 +88,31 @@ def test_incidence_export_is_deterministic():
     assert S.incidence_export(p) == S.incidence_export(p)
 
 
+def _dot_ids(line):
+    """The quoted IDs of a DOT line, by DOT's rule: inside quotes the pair
+    backslash, double quote stands for a double quote, and every other
+    character for itself."""
+    ids, start = [], line.find('"')
+    while start >= 0:
+        chars, k = [], start + 1
+        while line[k] != '"':
+            escaped = line.startswith('\\"', k)
+            chars.append('"' if escaped else line[k])
+            k += 2 if escaped else 1
+        ids.append("".join(chars))
+        start = line.find('"', k + 1)
+    return ids
+
+
+def test_incidence_export_quotes_names_dot_reads_back():
+    a, b, e = S.GenId(0, 'a"x'), S.GenId(0, "b\\"), S.GenId(1, 'e"')
+    p = S.Presentation([a, b, e], {e: (S.Simplex((), b), S.Simplex((), a))})
+    lines = S.incidence_export(p).splitlines()[1:-1]
+    assert [_dot_ids(l) for l in lines] == [
+        ['a"x:0'], ["b\\:0"], ['e":1'], ['e":1', 'b\\:0', "0"], ['e":1', 'a"x:0', "1"]
+    ]
+
+
 def test_top_cells_of_simplex_products_match_shuffle_count():
     for p, q in ((1, 1), (2, 1), (2, 2)):
         prod = S.product(S.standard_simplex(p), S.standard_simplex(q))

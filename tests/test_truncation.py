@@ -90,3 +90,22 @@ def test_only_core_builds_a_truncation_error():
     builders = {f.name for f in src.glob("*.py") if "TruncationError(" in f.read_text()}
     assert builders == {"core.py"}
     assert (src / "core.py").read_text().count("raise TruncationError(") == 1
+
+
+def test_a_product_answers_past_its_factors_truncation_known_wrong():
+    """ROADMAP item 3, pinned as it stands: these answers are wrong.
+
+    An n-simplex of a product is a pair of n-simplices, so a product is
+    trusted only up to its truncated factor's bound, here 2; yet it claims
+    4.  The fix of item 3 re-records every value below: H_3(BZ/2) is Z/2,
+    and ``kan_check`` to 3 raises ``TruncationError`` as on the factor.
+    """
+    factor = _z2(2)
+    x = S.product(factor, S.standard_simplex(0))
+    assert x.top_dim == 4
+    groups = [(h.betti, h.torsion) for h in S.homology(x, 4)]
+    assert groups == [(1, ()), (0, (2,)), (0, ()), (0, ())]  # H_3 should be Z/2
+    report = S.kan_check(x, 3)  # should raise, as on the factor
+    assert (report.horns_checked, len(report.witnesses), report.is_kan) == (46, 4, False)
+    with pytest.raises(S.TruncationError):
+        S.kan_check(factor, 3)
