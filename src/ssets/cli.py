@@ -11,8 +11,9 @@ with an ``error:`` line.  ``run`` is the process entry, for ``python -m
 ssets.cli`` and the ``ssets`` script: it exits with ``main``'s code.
 
 ``--format structured`` switches the payload to a stable JSON document;
-repeated runs over the same inputs are byte-identical.  Each handler
-imports the engine modules it uses, so a job runs only those.
+repeated runs over the same inputs are byte-identical.  The engine
+modules are bound at the top, and the package runs each on its first
+use, so a job runs only the modules its handler calls into.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import sys
 import warnings
 
-from . import io as sio
+from . import constructions, groups, homotopy, io as sio, kan, report
 from .core import NotKanError, SsetError, format_simplex
 
 
@@ -50,21 +51,21 @@ def _pick_basepoint(p, name):
 
 def _cmd_validate(args):
     p = _load(args.file)
-    report = p.validate()
+    result = p.validate()
     payload = {
         "command": "validate",
-        "fatal": list(report.fatal),
+        "fatal": list(result.fatal),
         "violations": [
             {"generator": v.gen.name, "dim": v.gen.dim, "i": v.i, "j": v.j}
-            for v in report.violations
+            for v in result.violations
         ],
-        "valid": report.ok,
+        "valid": result.ok,
     }
-    if report.ok:
+    if result.ok:
         return 0, payload, [f"{args.file}: valid ({sum(p.generator_counts())} generators)"]
     lines = [f"{args.file}: INVALID"]
-    lines += [f"  fatal: {m}" for m in report.fatal]
-    lines += [f"  identity violation: {v}" for v in report.violations]
+    lines += [f"  fatal: {m}" for m in result.fatal]
+    lines += [f"  identity violation: {v}" for v in result.violations]
     return 1, payload, lines
 
 
@@ -90,16 +91,16 @@ def _cmd_census(args):
 def _cmd_homology(args):
     from .homology import homology
     p = _load(args.file)
-    groups = homology(p, args.max_dim)
+    hgroups = homology(p, args.max_dim)
     payload = {
         "command": "homology",
         "max_dim": args.max_dim,
         "groups": [
             {"degree": n, "betti": h.betti, "torsion": list(h.torsion)}
-            for n, h in enumerate(groups)
+            for n, h in enumerate(hgroups)
         ],
     }
-    return 0, payload, [f"H_{n} = {h}" for n, h in enumerate(groups)]
+    return 0, payload, [f"H_{n} = {h}" for n, h in enumerate(hgroups)]
 
 
 def _cmd_euler(args):
@@ -110,13 +111,12 @@ def _cmd_euler(args):
 
 
 def _cmd_kan(args):
-    from .kan import kan_check
     p = _load(args.file)
-    report = kan_check(p, args.max_dim)
+    result = kan.kan_check(p, args.max_dim)
     payload = {
         "command": "kan",
-        "max_dim": report.max_dim,
-        "horns_checked": report.horns_checked,
+        "max_dim": result.max_dim,
+        "horns_checked": result.horns_checked,
         "witnesses": [
             {
                 "n": w.n,
@@ -127,25 +127,21 @@ def _cmd_kan(args):
                     if f is not None
                 },
             }
-            for w in report.witnesses
+            for w in result.witnesses
         ],
-        "is_kan": report.is_kan,
+        "is_kan": result.is_kan,
     }
-    head = (
-        f"checked {report.horns_checked} compatible horns up to dimension "
-        f"{report.max_dim}"
-    )
-    if report.is_kan:
+    head = f"checked {result.horns_checked} compatible horns up to dimension {result.max_dim}"
+    if result.is_kan:
         return 0, payload, [head, "Kan at this bound and truncation"]
-    lines = [head, f"{len(report.witnesses)} unfillable horns:"]
-    lines += [f"  {w.describe()}" for w in report.witnesses]
+    lines = [head, f"{len(result.witnesses)} unfillable horns:"]
+    lines += [f"  {w.describe()}" for w in result.witnesses]
     return 1, payload, lines
 
 
 def _cmd_pi0(args):
-    from .homotopy import path_components
     p = _load(args.file)
-    comps = path_components(p)
+    comps = homotopy.path_components(p)
     payload = {
         "command": "pi0",
         "components": [[v.name for v in block] for block in comps],
@@ -184,15 +180,13 @@ def _pi_payload(pi, command):
 
 
 def _cmd_pi(args):
-    from .homotopy import BasedPresentation, pi_n
     p = _load(args.file)
-    based = BasedPresentation(p, _pick_basepoint(p, args.basepoint))
-    pi = pi_n(based, args.n, require_kan_checked=args.check_kan)
+    based = homotopy.BasedPresentation(p, _pick_basepoint(p, args.basepoint))
+    pi = homotopy.pi_n(based, args.n, require_kan_checked=args.check_kan)
     return _pi_payload(pi, "pi")
 
 
 def _cmd_pirel(args):
-    from .homotopy import BasedPresentation, SubPresentation, pi_n_rel
     p = _load(args.file)
     sub_doc = _load(args.sub)
     members = []
@@ -202,18 +196,17 @@ def _cmd_pirel(args):
         if sub_doc.faces_of(g) != p.faces_of(g):
             raise SsetError(f"subcomplex faces of {g} disagree with the parent")
         members.append(g)
-    sub = SubPresentation(p, frozenset(members))
-    based = BasedPresentation(p, _pick_basepoint(p, args.basepoint))
-    pi = pi_n_rel(based, sub, args.n)
+    sub = homotopy.SubPresentation(p, frozenset(members))
+    based = homotopy.BasedPresentation(p, _pick_basepoint(p, args.basepoint))
+    pi = homotopy.pi_n_rel(based, sub, args.n)
     return _pi_payload(pi, "pirel")
 
 
 def _cmd_homotopic(args):
-    from .homotopy import simplices_homotopic
     p = _load(args.file)
     x = sio.parse_simplex(p, args.x, args.n)
     y = sio.parse_simplex(p, args.xp, args.n)
-    result = simplices_homotopic(p, x, y)
+    result = homotopy.simplices_homotopic(p, x, y)
     payload = {
         "command": "homotopic",
         "n": args.n,
@@ -248,10 +241,8 @@ def _cmd_product(args):
 
 
 def _cmd_nerve(args):
-    from .constructions import nerve
-    from .groups import cyclic
     if args.cyclic is not None:
-        table = cyclic(args.cyclic)
+        table = groups.cyclic(args.cyclic)
     else:
         table = sio.load_group_table(args.table)
         if args.top_dim >= 1:  # below 1, nerve's own refusal comes first
@@ -259,29 +250,27 @@ def _cmd_nerve(args):
             # comma-joined tuples of them; only an element's name can be
             # unwritable, and saving checks those names in sorted order
             sio._check_writable(sorted(set(table.elements) - {table.identity_name}))
-    p = nerve(table, args.top_dim)
+    p = constructions.nerve(table, args.top_dim)
     line = f"nerve of a group of order {table.order}, truncated at {p.top_dim}"
     return _wrote(args, "nerve", p, line, order=table.order)
 
 
 def _cmd_standard(args):
-    from .constructions import boundary, horn, sphere_two_cell, standard_simplex
     if args.delta is not None:
-        p = standard_simplex(args.delta, top_dim=args.top_dim)
+        p = constructions.standard_simplex(args.delta, top_dim=args.top_dim)
     elif args.boundary is not None:
-        p = boundary(args.boundary, top_dim=args.top_dim)
+        p = constructions.boundary(args.boundary, top_dim=args.top_dim)
     elif args.horn is not None:
-        p = horn(args.horn[0], args.horn[1], top_dim=args.top_dim)
+        p = constructions.horn(args.horn[0], args.horn[1], top_dim=args.top_dim)
     else:
-        p = sphere_two_cell(args.sphere, top_dim=args.top_dim)
+        p = constructions.sphere_two_cell(args.sphere, top_dim=args.top_dim)
     line = f"generators per dimension {p.generator_counts()}"
     return _wrote(args, "standard", p, line)
 
 
 def _cmd_cw_report(args):
-    from .report import cw_report
     p = _load(args.file)
-    rep = cw_report(p)
+    rep = report.cw_report(p)
     payload = {
         "command": "cw-report",
         "cells_per_dim": list(rep.cells_per_dim),
@@ -317,9 +306,8 @@ def _cmd_cw_report(args):
 
 
 def _cmd_delta_report(args):
-    from .report import delta_realization_report
     p = _load(args.file)
-    cells = delta_realization_report(p, args.max_dim)
+    cells = report.delta_realization_report(p, args.max_dim)
     payload = {
         "command": "delta-report",
         "max_dim": args.max_dim,
@@ -329,9 +317,8 @@ def _cmd_delta_report(args):
 
 
 def _cmd_export_graph(args):
-    from .report import incidence_export
     p = _load(args.file)
-    text = incidence_export(p)
+    text = report.incidence_export(p)
     return 0, {"command": "export-graph", "dot": text}, [text.rstrip("\n")]
 
 

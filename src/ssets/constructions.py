@@ -11,7 +11,6 @@ bound.
 from __future__ import annotations
 
 from itertools import combinations, product as iproduct
-from typing import TYPE_CHECKING
 
 from .core import (
     GenId,
@@ -20,9 +19,7 @@ from .core import (
     StructureError,
     vertex_simplex,
 )
-
-if TYPE_CHECKING:
-    from .groups import GroupTable
+from . import groups  # bound for annotations; nothing here runs it
 
 
 def _subset_name(subset) -> str:
@@ -102,7 +99,7 @@ def sphere_two_cell(n: int, top_dim: int | None = None) -> Presentation:
 BASEPOINT_NAME = "*"
 
 
-def nerve(group: GroupTable, top_dim: int) -> Presentation:
+def nerve(group: groups.GroupTable, top_dim: int) -> Presentation:
     """Truncated nerve of a group: n-simplices are n-tuples of elements.
 
     Tuples with no identity coordinate are exactly the nondegenerate

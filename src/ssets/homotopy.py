@@ -17,7 +17,7 @@ cross-checked against the resulting multiplication table.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .core import (
     ConsistencyError,
@@ -34,9 +34,7 @@ from .core import (
 )
 from .groups import GroupTable
 from .kan import HornSpec, fill_horn, fill_horn_all, kan_check
-
-if TYPE_CHECKING:
-    from .morphism import SimplicialMap
+from . import morphism  # only the homotopies of maps run it
 
 
 class BasedPresentation(Record):
@@ -471,20 +469,19 @@ class HomotopyReport(Report):
     """Outcome of :func:`verify_homotopy_data`, with :class:`HomotopyViolation`s."""
 
 
-def constant_homotopy(f: SimplicialMap, bound: int) -> HomotopyData:
+def constant_homotopy(f: morphism.SimplicialMap, bound: int) -> HomotopyData:
     """The homotopy from f to itself: h_i = s_i after f."""
-    from .morphism import apply_map
     values = {}
     for p in range(bound + 1):
         for x in f.source.simplices(p):
-            fx = apply_map(f, x)
+            fx = morphism.apply_map(f, x)
             for i in range(p + 1):
                 values[(i, x)] = degenerate(fx, i)
     return HomotopyData(bound, values)
 
 
 def verify_homotopy_data(
-    f: SimplicialMap, g: SimplicialMap, data: HomotopyData, bound: int
+    f: morphism.SimplicialMap, g: morphism.SimplicialMap, data: HomotopyData, bound: int
 ) -> HomotopyReport:
     """Check the five condition families of a combinatorial homotopy.
 
@@ -515,14 +512,13 @@ class _BadLevel(Exception):
 
 
 def _check_simplex_conditions(f, g, data, bound, p, x, violations):
-    from .morphism import apply_map
     x_pres, y_pres = f.source, f.target
     hs = [data.h(i, x) for i in range(p + 1)]
     if any(y.dim != p + 1 for y in hs):
         raise _BadLevel(f"h value of wrong dimension on {format_simplex(x)}")
-    if y_pres.face(hs[0], 0) != apply_map(f, x):
+    if y_pres.face(hs[0], 0) != morphism.apply_map(f, x):
         violations.append(HomotopyViolation("d_0 h_0 = f", p, 0, 0, x))
-    if y_pres.face(hs[p], p + 1) != apply_map(g, x):
+    if y_pres.face(hs[p], p + 1) != morphism.apply_map(g, x):
         violations.append(HomotopyViolation("d_{p+1} h_p = g", p, p + 1, p, x))
     for j in range(p):
         if y_pres.face(hs[j + 1], j + 1) != y_pres.face(hs[j], j + 1):
@@ -555,7 +551,7 @@ def _check_simplex_conditions(f, g, data, bound, p, x, violations):
                     violations.append(HomotopyViolation(rule, p, i, j, x))
 
 
-def _cylinder(hmap: SimplicialMap):
+def _cylinder(hmap: morphism.SimplicialMap):
     """A cylinder map's product source, interval edge and (initial, final) ends."""
     from .product import ProductPresentation
     xy = hmap.source
@@ -568,24 +564,24 @@ def _cylinder(hmap: SimplicialMap):
     return xy, ones[0], initial.gen, final.gen
 
 
-def cylinder_endpoints(hmap: SimplicialMap) -> tuple[SimplicialMap, SimplicialMap]:
+def cylinder_endpoints(
+    hmap: morphism.SimplicialMap,
+) -> tuple[morphism.SimplicialMap, morphism.SimplicialMap]:
     """(f, g) with f the final-end restriction and g the initial-end one."""
-    from .morphism import compose
     from .product import vertex_inclusion
     xy, _, initial, final = _cylinder(hmap)
-    f = compose(hmap, vertex_inclusion(xy, final))
-    g = compose(hmap, vertex_inclusion(xy, initial))
+    f = morphism.compose(hmap, vertex_inclusion(xy, final))
+    g = morphism.compose(hmap, vertex_inclusion(xy, initial))
     return f, g
 
 
-def homotopy_from_cylinder(hmap: SimplicialMap, bound: int) -> HomotopyData:
+def homotopy_from_cylinder(hmap: morphism.SimplicialMap, bound: int) -> HomotopyData:
     """Convert a cylinder map into chain-level homotopy data.
 
     h_k on a p-simplex x is the image of the k-th prism cell over x: the
     pair of s_k x with the complementary degeneracy word on the interval
     edge.
     """
-    from .morphism import apply_map
     xy, edge, _, _ = _cylinder(hmap)
     x_pres = xy.left
     x_pres.require_trusted(bound, "homotopy data reaches dimension")
@@ -595,7 +591,7 @@ def homotopy_from_cylinder(hmap: SimplicialMap, bound: int) -> HomotopyData:
             for k in range(p + 1):
                 word = tuple(j for j in range(p, -1, -1) if j != k)
                 prism_cell = xy.from_pair(degenerate(x, k), Simplex(word, edge))
-                values[(k, x)] = apply_map(hmap, prism_cell)
+                values[(k, x)] = morphism.apply_map(hmap, prism_cell)
     return HomotopyData(bound, values)
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from operator import ne
 from pathlib import Path
 
 from .core import (
@@ -385,8 +386,17 @@ def _check_writable(names: list[str]) -> None:
 
 def _document_lines(p: Presentation):
     """Check that p can be written, then return a generator of its lines."""
+    # a faces line gives its generator by name alone, so the loader refuses a name
+    # shared by two dimensions >= 1; a sorted list finds one in less memory than a set
+    carried: list[str] = []
     for d in range(p.max_generator_dim + 1):
-        _check_writable([g.name for g in p.generators_at(d)])
+        names = [g.name for g in p.generators_at(d)]
+        _check_writable(names)
+        carried += names if d else ()
+    carried.sort()
+    if not all(map(ne, carried, carried[1:])):
+        bad = next(a for a, b in zip(carried, carried[1:]) if a == b)
+        raise SemanticError(f"ambiguous generator name {bad!r}; duplicate across dimensions")
     name = p.name  # it must read back: no '#', no line break, no outer whitespace
     if name and ("#" in name or name != name.strip() or len(name.splitlines()) > 1):
         raise SemanticError(

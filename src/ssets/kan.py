@@ -10,7 +10,7 @@ could be a truncation artifact rather than a mathematical fact.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from .core import (
     GenId,
@@ -19,9 +19,7 @@ from .core import (
     Simplex,
     format_simplex,
 )
-
-if TYPE_CHECKING:
-    from .morphism import SimplicialMap
+from . import constructions, morphism  # only the map builders run them
 
 
 class HornSpec(Record):
@@ -166,19 +164,17 @@ def _subset_face(p: Presentation, x: Simplex, vertices, keep: set[int]) -> Simpl
     return x
 
 
-def map_from_simplex(p: Presentation, z: Simplex) -> SimplicialMap:
+def map_from_simplex(p: Presentation, z: Simplex) -> morphism.SimplicialMap:
     """The map from the standard simplex classifying z (top generator to z)."""
-    from .constructions import standard_simplex
-    from .morphism import SimplicialMap
-    src = standard_simplex(z.dim)
+    src = constructions.standard_simplex(z.dim)
     assignment = {}
     for g in src.all_generators():
         keep = {int(v) for v in g.name.split(".")}
         assignment[g] = _subset_face(p, z, range(z.dim + 1), keep)
-    return SimplicialMap(src, p, assignment)
+    return morphism.SimplicialMap(src, p, assignment)
 
 
-def horn_map(p: Presentation, h: HornSpec) -> SimplicialMap:
+def horn_map(p: Presentation, h: HornSpec) -> morphism.SimplicialMap:
     """The simplicial map from the horn presentation determined by a horn.
 
     Each generator of the horn is a vertex subset missing at least one
@@ -186,13 +182,11 @@ def horn_map(p: Presentation, h: HornSpec) -> SimplicialMap:
     any assigned facet containing it.  Compatibility of the horn makes
     the choice of facet irrelevant.
     """
-    from .constructions import horn
-    from .morphism import SimplicialMap
-    src = horn(h.n, h.k)
+    src = constructions.horn(h.n, h.k)
     assignment: dict[GenId, Simplex] = {}
     for g in src.all_generators():
         keep = {int(v) for v in g.name.split(".")}
         anchor = min(i for i in range(h.n + 1) if i not in keep and i != h.k)
         facet = [v for v in range(h.n + 1) if v != anchor]
         assignment[g] = _subset_face(p, h.faces[anchor], facet, keep)
-    return SimplicialMap(src, p, assignment)
+    return morphism.SimplicialMap(src, p, assignment)

@@ -11,7 +11,6 @@ common indices, largest first.
 from __future__ import annotations
 
 from functools import cache
-from typing import TYPE_CHECKING
 
 from .core import (
     GenId,
@@ -24,9 +23,7 @@ from .core import (
     compact_simplex,
     vertex_simplex,
 )
-
-if TYPE_CHECKING:
-    from .morphism import SimplicialMap
+from . import constructions, morphism  # only the maps and prism counts run them
 
 
 class ProductPresentation(Presentation):
@@ -177,27 +174,27 @@ def _row_reader(p: Presentation, n: int):
     return cache(lambda a: tuple([held[f] for f in p.face_row(a)]))
 
 
-def projections(p: ProductPresentation) -> tuple[SimplicialMap, SimplicialMap]:
+def projections(
+    p: ProductPresentation,
+) -> tuple[morphism.SimplicialMap, morphism.SimplicialMap]:
     """The two componentwise projection maps."""
-    from .morphism import SimplicialMap
     first = {g: p.pair_of(g)[0] for g in p.all_generators()}
     second = {g: p.pair_of(g)[1] for g in p.all_generators()}
     return (
-        SimplicialMap(p, p.left, first, name="pr1"),
-        SimplicialMap(p, p.right, second, name="pr2"),
+        morphism.SimplicialMap(p, p.left, first, name="pr1"),
+        morphism.SimplicialMap(p, p.right, second, name="pr2"),
     )
 
 
-def vertex_inclusion(p: ProductPresentation, v: GenId) -> SimplicialMap:
+def vertex_inclusion(p: ProductPresentation, v: GenId) -> morphism.SimplicialMap:
     """The slice inclusion X -> X x Y over a vertex v of Y."""
-    from .morphism import SimplicialMap
     if not (v.dim == 0 and p.right.has_generator(v)):
         raise ValueError(f"{v} is not a vertex of the right factor")
     assignment = {
         g: p.from_pair(Simplex((), g), vertex_simplex(v, g.dim))
         for g in p.left.all_generators()
     }
-    return SimplicialMap(p.left, p, assignment, name=f"incl@{v.name}")
+    return morphism.SimplicialMap(p.left, p, assignment, name=f"incl@{v.name}")
 
 
 class PrismSimplex(Record):
@@ -216,7 +213,6 @@ class PrismSimplex(Record):
 
 def prism_decomposition(p: int) -> list[PrismSimplex]:
     """The p+1 nondegenerate (p+1)-cells of the prism over the p-simplex."""
-    from .constructions import vertex_sequence
     if p < 0:
         raise ValueError("dimension must be >= 0")
     top = GenId(p, ".".join(str(v) for v in range(p + 1)))
@@ -226,9 +222,8 @@ def prism_decomposition(p: int) -> list[PrismSimplex]:
         base = Simplex((k,), top)
         word = tuple(j for j in range(p, -1, -1) if j != k)
         edge_part = Simplex(word, edge)
-        labels = []
-        for v, side in zip(vertex_sequence(base), vertex_sequence(edge_part)):
-            labels.append(f"{v}'" if side else f"{v}")
+        base_vs, edge_vs = map(constructions.vertex_sequence, (base, edge_part))
+        labels = [f"{v}'" if side else f"{v}" for v, side in zip(base_vs, edge_vs)]
         out.append(PrismSimplex(k, base, edge_part, tuple(labels)))
     return out
 
@@ -239,11 +234,11 @@ def count_nondegenerate_top(p: int, q: int) -> int:
     Counted directly as pairs of (p+q)-simplices of the factors with
     disjoint degeneracy words.
     """
-    from .constructions import standard_simplex
     if p < 0 or q < 0:
         raise ValueError("dimensions must be >= 0")
     n = p + q
     pairs = _compatible_pairs(
-        standard_simplex(p).simplices(n), standard_simplex(q).simplices(n)
+        constructions.standard_simplex(p).simplices(n),
+        constructions.standard_simplex(q).simplices(n),
     )
     return sum(1 for _ in pairs)

@@ -272,10 +272,15 @@ def test_writer_name_check_matches_the_per_name_rules():
         assert str(caught.value) == f"generator name {bad!r} cannot be written in the file grammar"
 
 
-def test_a_presentation_saves_exactly_when_its_names_pass_and_loads_back_equal():
+def test_a_presentation_saves_exactly_when_its_names_pass_and_loads_back_equal(tmp_path):
+    # faces lines name a generator without its dimension, so an edge and a
+    # 2-cell may not share a name; the writer refuses one before it opens
+    # the file, as the loader would refuse the document
     rng = random.Random(22)
+    out = tmp_path / "p.sset"
+    outcomes = {"saved": 0, "bad": 0, "shared": 0}
 
-    def names(count):  # most from the name characters alone: about half the cases save
+    def names(count):  # most from the name characters alone, so that many cases save
         return dict.fromkeys(
             "".join(rng.choices(
                 NAME_ALPHABET if rng.random() < 0.1 else NAME_ALPHABET[:9], k=rng.randint(1, 4)
@@ -289,16 +294,30 @@ def test_a_presentation_saves_exactly_when_its_names_pass_and_loads_back_equal()
             S.GenId(1, n): (rng.choice(vertices), rng.choice(vertices))
             for n in names(rng.randint(0, 4))
         }
-        p = S.Presentation([v.gen for v in vertices] + list(edges), edges)
+        cell_names = names(rng.randint(0, 3))
+        if edges and rng.random() < 0.3:  # an edge's name again
+            cell_names[rng.choice(list(edges)).name] = None
+        cell_faces = [Simplex((), e) for e in edges] + [Simplex((0,), v.gen) for v in vertices]
+        cells = {
+            S.GenId(2, n): tuple(rng.choice(cell_faces) for _ in range(3)) for n in cell_names
+        }
+        p = S.Presentation([v.gen for v in vertices] + list(edges) + list(cells), edges | cells)
         bad = [g.name for g in p.all_generators() if name_error(g.name)]
-        if bad:
+        shared = sorted({e.name for e in edges} & set(cell_names))
+        if bad or shared:
+            outcomes["bad" if bad else "shared"] += 1
             with pytest.raises(sio.SemanticError) as caught:
-                sio.dumps_presentation(p)
+                sio.save_presentation(p, out)
             assert str(caught.value) == (
                 f"generator name {bad[0]!r} cannot be written in the file grammar"
+                if bad
+                else f"ambiguous generator name {shared[0]!r}; duplicate across dimensions"
             )
+            assert not out.exists()
             continue
+        outcomes["saved"] += 1
         assert sio.loads_presentation(sio.dumps_presentation(p)) == p
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_a_long_generators_line_reports_its_bad_last_name_at_once(tmp_path):

@@ -1,5 +1,6 @@
 """The package namespace and what importing the CLI loads."""
 
+import ast
 import io
 import json
 import os
@@ -89,6 +90,33 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     assert run.returncode == 0, run.stderr
     spans = json.loads(out.read_text())["spans"]
     assert "cli.main" in {s[0] for s in spans}
+
+
+# A module binds each sibling it calls into at its top (``from . import
+# kan``), which runs none of the sibling's code: the package runs it on its
+# first attribute read.  The package's names ``homology`` and ``product``
+# are functions, so those two modules are imported by name inside the
+# functions that use them.
+SIBLINGS_BY_NAME = {"homology", "product"}
+
+
+def test_modules_bind_their_siblings_at_the_top():
+    for path in sorted(Path(ssets.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), path.name)
+        names = {
+            n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+        }
+        assert "TYPE_CHECKING" not in names, path.name
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    where = f"{path.name}:{node.lineno}"
+                    assert isinstance(node, ast.ImportFrom), where
+                    assert node.level == 1 and node.module in SIBLINGS_BY_NAME, where
 
 
 # Executed modules are plain ModuleType; a registered module whose code has
@@ -213,7 +241,7 @@ FIRST_TOUCHES = [
     ("constructions", "nerve", "", "constructions"), ("homotopy", "pi_n", "", "homotopy"),
     ("kan", "kan_check", "", "kan"), ("report", "cw_report", "", "report"),
     ("io", "load_map", "", "io"),
-    # constructions and morphism are first touched by horn_map's own imports
+    # constructions and morphism are first touched by horn_map's calls into them
     ("kan", "horn_map", HORN + "args = (p, h)", "constructions morphism"),
 ]
 
@@ -244,9 +272,9 @@ sys.stdout.buffer.write(pickle.dumps(result))
 """
 
 
-# a library function whose module imports its dependencies when it is called:
-# the setup that builds its arguments, the call, and the modules that the
-# call itself must run first
+# a library function that calls into siblings its module binds but has not
+# run: the setup that builds its arguments, the call, and the modules that
+# the call itself must run first
 FIRST_CALLS = [
     (HORN, "S.horn_map(p, h)", "constructions morphism"),
     (HORN, "S.map_from_simplex(p, z)", "constructions morphism"),
