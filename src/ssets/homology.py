@@ -6,12 +6,13 @@ simplex contributes zero.  The full complex on all simplices (faces
 taken literally) is also available; truncated low-degree homology of
 that complex serves as an independent cross-check of the normalization.
 
-Boundary maps are stored as sparse columns, one ``{row: coeff}`` dict
-per basis element with zero entries dropped.  Homology sweeps out unit
-(±1) pivots from ∂1 upwards, each sweep without the rows the one below
-pivoted on, and runs the dense Smith normal form only on the block that
-is left.  All arithmetic is exact over Python ints, so intermediate
-entry growth in either phase cannot overflow.
+Boundary maps are sparse columns, one ``{row: coeff}`` dict per basis
+element with zero entries dropped.  Homology builds ∂1, ∂2, ... in turn
+from the face rows, sweeps out unit (±1) pivots without the rows the
+sweep below pivoted on, runs the dense Smith normal form only on the
+block that is left, and drops each boundary before the next.  All
+arithmetic is exact over Python ints, so intermediate entry growth in
+either phase cannot overflow.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd, lcm
 
-from .core import Presentation, Record, Simplex
+from .core import Presentation, Record
 
 Column = dict[int, int]
 
@@ -54,11 +55,10 @@ def _dense(columns, row_at) -> list[list[int]]:
 
 
 def _column(rows) -> Column:
-    """Sparse column of the alternating face sum; ``None`` marks a dropped face."""
+    """Sparse column of the alternating face sum."""
     col: Column = {}
     for i, r in enumerate(rows):
-        if r is not None:
-            col[r] = col.get(r, 0) + (-1) ** i
+        col[r] = col.get(r, 0) + (-1) ** i
     return {r: v for r, v in col.items() if v}
 
 
@@ -68,19 +68,28 @@ def _check_max_dim(p: Presentation, max_dim: int) -> None:
     p.require_trusted(max_dim, "the chain complex reaches dimension")
 
 
+def _boundary(p: Presentation, n: int) -> list[Column]:
+    """Sparse columns of ∂n from the stored face rows; a degenerate face is zero."""
+    row_of = {g: r for r, g in enumerate(p.generators_at(n - 1))}
+    columns = []
+    for g in p.generators_at(n):
+        col: Column = {}
+        sign = 1
+        for word, gen in p.faces_of(g):
+            if not word:
+                r = row_of[gen]
+                col[r] = col.get(r, 0) + sign
+            sign = -sign
+        columns.append({r: v for r, v in col.items() if v} if 0 in col.values() else col)
+    return columns
+
+
 def normalized_complex(p: Presentation, max_dim: int) -> ChainComplex:
     """Chain complex on nondegenerate generators, degenerate faces dropped."""
     _check_max_dim(p, max_dim)
     bases = tuple(p.generators_at(n) for n in range(max_dim + 1))
-    boundaries = [()]
-    for n in range(1, max_dim + 1):
-        row_of = {g: r for r, g in enumerate(bases[n - 1])}
-        columns = []
-        for g in bases[n]:
-            faces = p.face_row(Simplex((), g))
-            columns.append(_column(None if f.is_degenerate else row_of[f.gen] for f in faces))
-        boundaries.append(tuple(columns))
-    return ChainComplex(bases, tuple(boundaries))
+    boundaries = (tuple(_boundary(p, n)) for n in range(1, max_dim + 1))
+    return ChainComplex(bases, ((), *boundaries))
 
 
 def unnormalized_complex(p: Presentation, max_dim: int) -> ChainComplex:
@@ -168,11 +177,12 @@ def smith_normal_form(matrix) -> SNFResult:
     return SNFResult(tuple(diag), len(diag))
 
 
-def _sweep(columns, drop) -> tuple[SNFResult, set[int]]:
-    """SNF of the columns less the rows in ``drop``, and the columns that pivoted."""
-    cols = [{r: v for r, v in col.items() if r not in drop} for col in columns]
+def _sweep(cols: list[Column], drop: set[int]) -> tuple[SNFResult, set[int]]:
+    """Sweep ``cols`` in place less the rows in ``drop``: their SNF and the pivoted columns."""
     cols_in_row: dict[int, set[int]] = {}
     for c, col in enumerate(cols):
+        for r in drop.intersection(col):
+            del col[r]
         for r in col:
             cols_in_row.setdefault(r, set()).add(c)
     pivoted = set()
@@ -213,9 +223,9 @@ def sparse_smith_normal_form(columns) -> SNFResult:
     row index).  Column operations clear the pivot row, after which row
     operations clear the pivot column alone, so both are dropped: a
     unimodular step and one invariant factor 1.  The columns that never
-    pivot go to the dense ``smith_normal_form``; the input is not modified.
+    pivot go to the dense ``smith_normal_form``; the sweep runs on a copy.
     """
-    return _sweep(columns, ())[0]
+    return _sweep(list(map(dict, columns)), set())[0]
 
 
 class HomologyGroup(Record):
@@ -243,6 +253,20 @@ class HomologyGroup(Record):
         return " ⊕ ".join(parts) if parts else "0"
 
 
+def _homology(ranks, boundary) -> tuple[HomologyGroup, ...]:
+    """Homology from the chain ranks; each ∂n = ``boundary(n)`` is swept, then dropped."""
+    snfs, drop = [SNFResult((), 0)], set()
+    for n in range(1, len(ranks)):
+        snf, drop = _sweep(boundary(n), drop)
+        snfs.append(snf)
+    out = []
+    for n in range(len(ranks) - 1):
+        betti = ranks[n] - snfs[n].rank - snfs[n + 1].rank
+        torsion = tuple(f for f in snfs[n + 1].factors if f > 1)
+        out.append(HomologyGroup(betti, torsion))
+    return tuple(out)
+
+
 def homology_of_complex(c: ChainComplex) -> tuple[HomologyGroup, ...]:
     """Homology in degrees 0..max_dim-1 from Smith normal forms.
 
@@ -257,21 +281,14 @@ def homology_of_complex(c: ChainComplex) -> tuple[HomologyGroup, ...]:
     therefore injective on ker ∂n ⊇ im ∂(n+1), and its image is the saturated
     kernel of the residual block: rank and torsion of every boundary are kept.
     """
-    snfs, drop = [SNFResult((), 0)], set()
-    for n in range(1, c.max_dim + 1):
-        snf, drop = _sweep(c.boundaries[n], drop)
-        snfs.append(snf)
-    out = []
-    for n in range(c.max_dim):
-        betti = c.rank_of_chains(n) - snfs[n].rank - snfs[n + 1].rank
-        torsion = tuple(f for f in snfs[n + 1].factors if f > 1)
-        out.append(HomologyGroup(betti, torsion))
-    return tuple(out)
+    return _homology(list(map(len, c.bases)), lambda n: list(map(dict, c.boundaries[n])))
 
 
 def homology(p: Presentation, max_dim: int) -> tuple[HomologyGroup, ...]:
     """Homology groups of the normalized complex in degrees 0..max_dim-1."""
-    return homology_of_complex(normalized_complex(p, max_dim))
+    _check_max_dim(p, max_dim)
+    ranks = [len(p.generators_at(n)) for n in range(max_dim + 1)]
+    return _homology(ranks, lambda n: _boundary(p, n))
 
 
 def euler_characteristic(p: Presentation) -> int:

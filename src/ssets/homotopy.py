@@ -32,9 +32,7 @@ from .core import (
     format_simplex,
     vertex_simplex,
 )
-from .groups import GroupTable
-from .kan import HornSpec, fill_horn, fill_horn_all, kan_check
-from . import morphism  # only the homotopies of maps run it
+from . import groups, kan, morphism  # group products run groups and kan; maps run morphism
 
 
 class BasedPresentation(Record):
@@ -331,15 +329,15 @@ class PiGroup(PiSet):
         return self.table[a][b]
 
 
-def _based_horn(based: BasedPresentation, n: int, k: int, placed) -> HornSpec:
+def _based_horn(based: BasedPresentation, n: int, k: int, placed) -> kan.HornSpec:
     """The (n+1)-horn missing face k: face i is ``placed[i]``, or the basepoint if none."""
     star = based.basepoint_simplex(n)
-    return HornSpec.from_faces(n + 1, k, {i: placed.get(i) or star for i in range(n + 2)})
+    return kan.HornSpec.from_faces(n + 1, k, {i: placed.get(i) or star for i in range(n + 2)})
 
 
 def _product_horn(
     based: BasedPresentation, n: int, x: Simplex, y: Simplex, d0: Simplex | None = None
-) -> HornSpec:
+) -> kan.HornSpec:
     """The horn missing face n: x on face n-1, y on face n+1, d0 (if given) on face 0."""
     return _based_horn(based, n, n, {0: d0, n - 1: x, n + 1: y})
 
@@ -361,7 +359,7 @@ def pi_n(
         raise ValueError("homotopy groups start at n = 1; use path_components below")
     p.require_trusted(n + 2, f"pi_{n} needs dimension")
     if require_kan_checked:
-        report = kan_check(p, n + 2)
+        report = kan.kan_check(p, n + 2)
         if not report.is_kan:
             raise NotKanError(
                 f"{len(report.witnesses)} unfillable horns up to dimension {n + 2}, "
@@ -393,7 +391,7 @@ def _classes(based: BasedPresentation, n: int, reps, targets, horn_for=None, wha
         row = []
         for b in classes:
             h = horn_for(reps[a[0]], reps[b[0]])
-            fillers = fill_horn_all(p, h)
+            fillers = kan.fill_horn_all(p, h)
             if not fillers:
                 raise NotKanError(
                     f"{what} horn has no filler; complex is not Kan enough: "
@@ -414,7 +412,7 @@ def _classes(based: BasedPresentation, n: int, reps, targets, horn_for=None, wha
 def _check_group(table, identity: int):
     """Raise ConsistencyError unless a class table obeys the group laws."""
     try:
-        GroupTable(tuple(map(str, range(len(table)))), table, identity)
+        groups.GroupTable(tuple(map(str, range(len(table)))), table, identity)
     except ValueError as exc:
         raise ConsistencyError(f"class table is not a group: {exc}") from None
 
@@ -426,7 +424,7 @@ def _verify_horn_inverses(based: BasedPresentation, pi: PiGroup):
         # right inverse: fill the horn missing face n+1, x on face n-1;
         # left inverse: the horn missing face n-1, x on face n+1
         for side, k, at in (("right", n + 1, n - 1), ("left", n - 1, n + 1)):
-            z = fill_horn(p, _based_horn(based, n, k, {at: pi.reps[block[0]]}))
+            z = kan.fill_horn(p, _based_horn(based, n, k, {at: pi.reps[block[0]]}))
             if z is None:
                 raise NotKanError(f"{side}-inverse horn has no filler")
             b = pi.class_of(p.face(z, k))
@@ -645,9 +643,9 @@ def pi_n_rel(
         return _classes(based, n, reps, targets)
     a_pres = a_sub.restriction()
 
-    def horn_for(x: Simplex, y: Simplex) -> HornSpec:
+    def horn_for(x: Simplex, y: Simplex) -> kan.HornSpec:
         # face 0 carries the product of the 0-faces, taken inside the subcomplex
-        z = fill_horn(a_pres, _product_horn(based, n - 1, p.face(x, 0), p.face(y, 0)))
+        z = kan.fill_horn(a_pres, _product_horn(based, n - 1, p.face(x, 0), p.face(y, 0)))
         if z is None:
             raise NotKanError("no product witness in the subcomplex")
         return _product_horn(based, n, x, y, z)

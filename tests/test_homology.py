@@ -1,5 +1,6 @@
 """Chain complexes, Smith normal form, and homology groups."""
 
+import copy
 import importlib
 import json
 import random
@@ -142,12 +143,19 @@ def test_homology_matches_dense_snf_on_every_fixture(path):
     assert S.homology_of_complex(c) == _dense_homology(c)
 
 
-# -- compressed sweeps against whole sweeps --------------------------------------
+# -- one degree at a time against the whole complex ------------------------------
+
+# the dense oracle runs where each boundary has at most this many entries
+DENSE_CELLS = 20_000
 
 
-def assert_compression_is_exact(p, top):
+def assert_homology_matches_oracles(p, top):
+    """``homology`` equals the compressed, whole-sweep and dense answers on the complex."""
     c = S.normalized_complex(p, top)
-    assert S.homology_of_complex(c) == uncompressed_homology(c)
+    got = S.homology(p, top)
+    assert got == S.homology_of_complex(c) == uncompressed_homology(c)
+    if all(len(c.bases[n - 1]) * len(c.bases[n]) <= DENSE_CELLS for n in range(1, top + 1)):
+        assert got == _dense_homology(c)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +166,7 @@ def assert_compression_is_exact(p, top):
 )
 def test_compressed_homology_of_nerves_matches_whole_sweeps(group):
     for top in range(1, 6):
-        assert_compression_is_exact(S.nerve(group, top), top)
+        assert_homology_matches_oracles(S.nerve(group, top), top)
 
 
 SMALL_FILES = [f for f in sorted(FIXTURES.glob("*.sset")) if f.stem not in ("nerve_z3", "nerve_z4")]
@@ -169,7 +177,7 @@ def test_compressed_homology_of_products_matches_whole_sweeps(left):
     x = S.load_presentation(left)
     for right in SMALL_FILES:
         p = S.product(x, S.load_presentation(right))
-        assert_compression_is_exact(p, min(p.top_dim, p.max_generator_dim + 1))
+        assert_homology_matches_oracles(p, min(p.top_dim, p.max_generator_dim + 1))
 
 
 def test_compressed_homology_of_random_complexes_matches_whole_sweeps():
@@ -177,9 +185,24 @@ def test_compressed_homology_of_random_complexes_matches_whole_sweeps():
     for _ in range(40):
         p = random_complex(rng)
         top = p.max_generator_dim + 1
-        assert_compression_is_exact(p, top)
+        assert_homology_matches_oracles(p, top)
         for _ in range(3):
-            assert_compression_is_exact(random_subcomplex(rng, p), top)
+            assert_homology_matches_oracles(random_subcomplex(rng, p), top)
+
+
+def test_homology_of_complex_and_sparse_snf_leave_their_input_as_it_was():
+    rng = random.Random(516)
+    cases = [(S.nerve(S.symmetric_3(), 4), 4), (S.nerve(S.cyclic(4), 5), 5)]
+    cases.append((S.product(S.boundary(3), S.standard_simplex(1)), 4))
+    cases += [(p, p.max_generator_dim + 1) for p in (random_complex(rng) for _ in range(10))]
+    for p, top in cases:
+        c = S.normalized_complex(p, top)
+        before = copy.deepcopy(c.boundaries)
+        S.homology_of_complex(c)
+        assert c.boundaries == before
+        for n in range(1, top + 1):
+            H.sparse_smith_normal_form(c.boundaries[n])
+        assert c.boundaries == before
 
 
 def test_simplices_are_acyclic():

@@ -133,20 +133,19 @@ SUBCOMMAND_MODULES = [
     (["homology", "fixtures/nerve_z2.sset", "--max-dim", "4"], "core homology io"),
     (["euler", "fixtures/sphere2.sset"], "core homology io"),
     (["kan", "fixtures/delta1.sset", "--max-dim", "2"], "core io kan"),
-    (["pi0", "fixtures/circle2.sset"], "core groups homotopy io kan"),
+    (["pi0", "fixtures/circle2.sset"], "core homotopy io"),
     (["pi", "fixtures/nerve_z3.sset", "--n", "1"], "core groups homotopy io kan"),
     (["pirel", "fixtures/nerve_z4.sset", "--sub", "fixtures/nerve_z4_sub2.sset", "--n", "1"],
-     "core groups homotopy io kan"),
-    (["homotopic", "fixtures/nerve_z2.sset", "--n", "1", "g", "s0 *"],
-     "core groups homotopy io kan"),
+     "core homotopy io"),
+    (["homotopic", "fixtures/nerve_z2.sset", "--n", "1", "g", "s0 *"], "core homotopy io"),
     (["product", "fixtures/delta1.sset", "fixtures/delta1.sset", "-o", "{out}"],
      "core io product"),
     (["nerve", "--table", "fixtures/z3.table", "--top-dim", "3", "-o", "{out}"],
      "constructions core groups io"),
     (["standard", "--boundary", "3", "-o", "{out}"], "constructions core io"),
     (["cw-report", "fixtures/sphere2.sset"], "core homology io report"),
-    (["delta-report", "fixtures/cone.sset", "--max-dim", "2"], "core homology io report"),
-    (["export-graph", "fixtures/delta2.sset"], "core homology io report"),
+    (["delta-report", "fixtures/cone.sset", "--max-dim", "2"], "core io report"),
+    (["export-graph", "fixtures/delta2.sset"], "core io report"),
 ]
 
 
