@@ -48,6 +48,7 @@ _EXPORTS = {
     "io": "NormalizationWarning ParseError SemanticError dumps_presentation "
     "load_group_table load_map load_presentation loads_group_table loads_map "
     "loads_presentation parse_simplex save_presentation",
+    "usage": "",  # the CLI's argparse parser, for lines the CLI does not read itself
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 

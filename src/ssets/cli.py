@@ -14,17 +14,22 @@ ssets.cli`` and the ``ssets`` script: it exits with ``main``'s code.
 repeated runs over the same inputs are byte-identical.  The engine
 modules are bound at the top, and the package runs each on its first
 use, so a job runs only the modules its handler calls into.
+
+``COMMANDS`` is the one record of the grammar.  ``main`` reads a
+canonical line from it (``read_canonical``) and any other line with the
+argparse parser that ``ssets.usage`` builds from it, so a canonical job
+never imports argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 import warnings
+from types import SimpleNamespace
 
-from . import constructions, groups, homotopy, io as sio, kan, report
+from . import constructions, groups, homotopy, io as sio, kan, report, usage
 from .core import NotKanError, SsetError, format_simplex
 
 
@@ -322,84 +327,101 @@ def _cmd_export_graph(args):
     return 0, {"command": "export-graph", "dot": text}, [text.rstrip("\n")]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="ssets",
-        description="Engine for finitely presented simplicial sets.",
-    )
-    ap.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="output style; structured is a stable JSON document",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+# The command-line grammar, its one record: per subcommand its help, its
+# handler and its arguments in declaration order.  An argument is a
+# positional's name or an option, "flags kind mark", long flag last (it
+# names the dest): kind is int, str, flag (store_true) or int2 (two ints,
+# N K), and mark is required, optional or one-of (the members of the
+# subcommand's required mutually exclusive group).
+FORMATS = ("text", "structured")
+COMMANDS = {
+    "validate": ("check the simplicial identities", _cmd_validate, "file"),
+    "census": ("count simplices in one dimension", _cmd_census, "file",
+               "--dim int required", "--nondegenerate flag optional"),
+    "homology": ("integer homology groups", _cmd_homology, "file", "--max-dim int required"),
+    "euler": ("Euler characteristic", _cmd_euler, "file"),
+    "kan": ("search for unfillable horns", _cmd_kan, "file", "--max-dim int required"),
+    "pi0": ("path components", _cmd_pi0, "file"),
+    "pi": ("homotopy group by horn filling", _cmd_pi, "file", "--n int required",
+           "--basepoint str optional", "--check-kan flag optional"),
+    "pirel": ("relative homotopy classes", _cmd_pirel, "file", "--sub str required",
+              "--n int required", "--basepoint str optional"),
+    "homotopic": ("decide homotopy of two simplices", _cmd_homotopic, "file",
+                  "--n int required", "x", "xp"),
+    "product": ("categorical product of two files", _cmd_product, "left", "right",
+                "-o --output str required"),
+    "nerve": ("classifying-space nerve of a group", _cmd_nerve, "--cyclic int one-of",
+              "--table str one-of", "--top-dim int required", "-o --output str required"),
+    "standard": ("standard complexes", _cmd_standard, "--delta int one-of",
+                 "--boundary int one-of", "--horn int2 one-of", "--sphere int one-of",
+                 "--top-dim int optional", "-o --output str required"),
+    "cw-report": ("cell census with collapse flags", _cmd_cw_report, "file"),
+    "delta-report": ("face-only cell counts", _cmd_delta_report, "file", "--max-dim int required"),
+    "export-graph": ("incidence graph in DOT format", _cmd_export_graph, "file"),
+}
 
-    def command(name, help, handler, *positionals):
-        s = sub.add_parser(name, help=help)
-        for dest in positionals:
-            s.add_argument(dest)
-        s.set_defaults(handler=handler)
-        return s
 
-    command("validate", "check the simplicial identities", _cmd_validate, "file")
+def build_parser():
+    """The argparse parser of ``COMMANDS``, for lines ``read_canonical`` declines."""
+    return usage.build_parser(COMMANDS, FORMATS)
 
-    s = command("census", "count simplices in one dimension", _cmd_census, "file")
-    s.add_argument("--dim", type=int, required=True)
-    s.add_argument("--nondegenerate", action="store_true")
 
-    s = command("homology", "integer homology groups", _cmd_homology, "file")
-    s.add_argument("--max-dim", type=int, required=True)
+def _value(kind, token):
+    if kind == "str":
+        return None if token[:1] == "-" else token
+    digits = token.removeprefix("-")
+    try:  # int() refuses digits past the interpreter's limit
+        return int(token) if digits.isascii() and digits.isdigit() else None
+    except ValueError:
+        return None
 
-    command("euler", "Euler characteristic", _cmd_euler, "file")
 
-    s = command("kan", "search for unfillable horns", _cmd_kan, "file")
-    s.add_argument("--max-dim", type=int, required=True)
+def read_canonical(argv):
+    """Read a canonical command line from ``COMMANDS``, without argparse.
 
-    command("pi0", "path components", _cmd_pi0, "file")
-
-    s = command("pi", "homotopy group by horn filling", _cmd_pi, "file")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--basepoint")
-    s.add_argument("--check-kan", action="store_true")
-
-    s = command("pirel", "relative homotopy classes", _cmd_pirel, "file")
-    s.add_argument("--sub", required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--basepoint")
-
-    s = command("homotopic", "decide homotopy of two simplices", _cmd_homotopic, "file")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("x")
-    s.add_argument("xp")
-
-    s = command("product", "categorical product of two files", _cmd_product, "left", "right")
-    s.add_argument("-o", "--output", required=True)
-
-    s = command("nerve", "classifying-space nerve of a group", _cmd_nerve)
-    grp = s.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--cyclic", type=int)
-    grp.add_argument("--table")
-    s.add_argument("--top-dim", type=int, required=True)
-    s.add_argument("-o", "--output", required=True)
-
-    s = command("standard", "standard complexes", _cmd_standard)
-    grp = s.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--delta", type=int)
-    grp.add_argument("--boundary", type=int)
-    grp.add_argument("--horn", type=int, nargs=2, metavar=("N", "K"))
-    grp.add_argument("--sphere", type=int)
-    s.add_argument("--top-dim", type=int)
-    s.add_argument("-o", "--output", required=True)
-
-    command("cw-report", "cell census with collapse flags", _cmd_cw_report, "file")
-
-    s = command("delta-report", "face-only cell counts", _cmd_delta_report, "file")
-    s.add_argument("--max-dim", type=int, required=True)
-
-    command("export-graph", "incidence graph in DOT format", _cmd_export_graph, "file")
-
-    return ap
+    The result is what ``build_parser().parse_args(argv)`` gives; a line
+    that is not canonical (README, "Command-line tour") gives None.
+    """
+    ns = {"format": "text"}
+    if argv[:1] == ["--format"] and argv[1:2] and argv[1] in FORMATS:
+        ns["format"], argv = argv[1], argv[2:]
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    ns["command"] = argv[0]
+    _, ns["handler"], *arguments = COMMANDS[argv[0]]
+    positionals, options, required, one_of = [], {}, set(), set()
+    for spec in arguments:
+        if spec[0] != "-":
+            positionals.append(spec)
+            continue
+        *flags, kind, mark = spec.split()
+        dest = flags[-1][2:].replace("-", "_")
+        ns[dest] = False if kind == "flag" else None
+        options.update(dict.fromkeys(flags, (dest, kind)))
+        if mark != "optional":
+            (required if mark == "required" else one_of).add(dest)
+    given, values, tokens = set(), [], iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            values.append(token)
+            continue
+        dest, kind = options.get(token, (None, None))
+        if dest is None or dest in given:
+            return None
+        given.add(dest)
+        if kind == "flag":
+            ns[dest] = True
+            continue
+        got = [_value(kind, next(tokens, "-")) for _ in range(1 + (kind == "int2"))]
+        if None in got:
+            return None
+        ns[dest] = got if kind == "int2" else got[0]
+    if len(values) != len(positionals) or not required <= given:
+        return None
+    if one_of and len(one_of & given) != 1:
+        return None
+    ns.update(zip(positionals, values))
+    return SimpleNamespace(**ns)
 
 
 def _emit(args, payload, lines):
@@ -411,8 +433,8 @@ def _emit(args, payload, lines):
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = read_canonical(argv) or build_parser().parse_args(argv)
     try:
         code, payload, lines = args.handler(args)
     except NotKanError as exc:

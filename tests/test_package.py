@@ -158,29 +158,90 @@ def test_importing_the_package_executes_no_submodule():
     assert out.stdout == "['ssets']\n"
 
 
+# argparse and what it imports: gettext, which imports locale
+ARGPARSE_LOADS = (
+    "sorted(n for n in sys.modules if n in ('argparse', 'gettext') or 'locale' in n)"
+)
+
 # runs the CLI as ``python -m ssets.cli`` does, then lists what it executed
+# and what of argparse's imports it loaded
 RUN_CLI = f"""
 import json, runpy, sys, types
 try:
     runpy.run_module("ssets.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert exc.code in (0, 1), exc.code
-print(json.dumps({EXECUTED}), file=sys.stderr)
+print(json.dumps([{EXECUTED}, {ARGPARSE_LOADS}]), file=sys.stderr)
 """
+
+
+def _run_cli(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(run.stderr)
+
+
+@pytest.fixture(scope="module")
+def bare_loads():
+    """What of argparse's imports a bare interpreter has loaded."""
+    code = f"import json, sys; print(json.dumps({ARGPARSE_LOADS}))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout)
+    assert "argparse" not in loaded and "gettext" not in loaded
+    return loaded
 
 
 @pytest.mark.parametrize(
     "argv,modules", SUBCOMMAND_MODULES, ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES]
 )
-def test_each_subcommand_executes_only_the_modules_it_uses(tmp_path, argv, modules):
+def test_each_subcommand_executes_only_the_modules_it_uses(tmp_path, argv, modules, bare_loads):
+    # every line here is canonical: the CLI reads it without argparse
     argv = [a.format(out=tmp_path / "out.sset") for a in argv]
-    env = dict(os.environ, PYTHONPATH=SRC)
-    run = subprocess.run(
-        [sys.executable, "-c", RUN_CLI, "--format", "structured", *argv],
-        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
-    )
-    ran = json.loads(run.stderr)
+    ran, loaded = _run_cli(["--format", "structured", *argv])
     assert ran == ["ssets"] + [f"ssets.{m}" for m in modules.split()]
+    assert loaded == bare_loads
+
+
+def test_importing_the_cli_loads_no_argparse(bare_loads):
+    code = f"import json, sys, ssets.cli; print(json.dumps({ARGPARSE_LOADS}))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == bare_loads
+
+
+def test_a_line_left_to_argparse_also_runs_the_usage_module(bare_loads):
+    ran, loaded = _run_cli(["--format=structured", "validate", "fixtures/delta2.sset"])
+    assert ran == ["ssets", "ssets.core", "ssets.io", "ssets.usage"]
+    assert {"argparse", "gettext"} <= set(loaded)
+
+
+# argparse's own exits: the CLI prints and exits as its parser alone does
+PARSE_ONLY = "import sys\nfrom ssets import cli\ncli.build_parser().parse_args(sys.argv[1:])"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["pi", "--help"], ["--format", "text", "census", "fixtures/delta1.sset"],
+     ["census", "fixtures/delta1.sset", "--dim", "x"]],
+    ids=" ".join,
+)
+def test_help_and_usage_errors_are_the_parser_s_own(argv):
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")  # argparse wraps to the terminal
+
+    def run(*args):
+        done = subprocess.run(
+            [sys.executable, *args, *argv], cwd=ROOT, env=env, capture_output=True, text=True
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    got = run("-m", "ssets.cli")
+    assert got == run("-c", PARSE_ONLY)
+    assert got[0] in (0, 2) and "usage: ssets" in got[1] + got[2]
 
 
 FIRST_TOUCH = """
