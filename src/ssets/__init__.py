@@ -9,9 +9,10 @@ Importing the package runs none of its submodules.  ``_EXPORTS`` below is
 the one record of the public names and the module each comes from; a
 name resolves on first access (``ssets.nerve``, ``from ssets import
 nerve``) and is then kept in the package namespace.  Every submodule the
-table names is registered in ``sys.modules`` and bound here at import, but
-its code runs on the first attribute access, under one package-wide
-re-entrant lock, so threads that touch it together all see it whole.
+table names is registered in ``sys.modules`` from the package's directory
+and bound here at import, but its code runs on the first attribute
+access, under one package-wide re-entrant lock, so threads that touch it
+together all see it whole.
 The exceptions are ``ssets.homology`` and ``ssets.product``: those
 names are the functions, as they were when the package imported every
 submodule; the modules are ``sys.modules["ssets.homology"]`` and
@@ -20,7 +21,8 @@ submodule; the modules are ``sys.modules["ssets.homology"]`` and
 
 import sys as _sys
 from _thread import RLock as _RLock
-from importlib.util import find_spec as _find_spec, module_from_spec as _module_from_spec
+from importlib import util as _util
+from os.path import join as _join
 from types import ModuleType as _ModuleType
 
 # module -> the public names it exports
@@ -91,13 +93,14 @@ def _run(module):
                 _running.discard(module)
 
 
-for _mod in _EXPORTS:
-    _module = _module_from_spec(_find_spec(f"{__name__}.{_mod}"))
+for _mod in _EXPORTS:  # the spec a path search finds, without the search
+    _spec = _util.spec_from_file_location(f"{__name__}.{_mod}", _join(__path__[0], f"{_mod}.py"))
+    _module = _util.module_from_spec(_spec)
     _module.__class__ = _Deferred
     _sys.modules[f"{__name__}.{_mod}"] = _module
     if _mod not in _MODULE_OF:  # ssets.homology and ssets.product are functions
         globals()[_mod] = _module
-del _mod, _module
+del _mod, _spec, _module
 
 
 def __getattr__(name):

@@ -1,6 +1,7 @@
 """The package namespace and what importing the CLI loads."""
 
 import ast
+import importlib.util
 import io
 import json
 import os
@@ -149,6 +150,25 @@ SUBCOMMAND_MODULES = [
 ]
 
 
+def test_each_deferred_module_has_the_spec_a_path_search_finds(monkeypatch):
+    # the package builds each spec from its own directory; find_spec of a
+    # name that sys.modules holds returns the module's own spec, so the
+    # name is taken out for the search
+    for name in ssets._EXPORTS:
+        full = f"ssets.{name}"
+        spec = ModuleType.__getattribute__(sys.modules[full], "__spec__")
+        monkeypatch.delitem(sys.modules, full)
+        found = importlib.util.find_spec(full)
+        monkeypatch.undo()
+        assert (spec.name, spec.origin, spec.cached, spec.parent) == (
+            found.name, found.origin, found.cached, found.parent
+        )
+        assert (type(spec.loader), vars(spec.loader)) == (type(found.loader), vars(found.loader))
+        assert spec.submodule_search_locations is found.submodule_search_locations is None
+        assert spec.has_location and found.has_location
+        assert spec == found
+
+
 def test_importing_the_package_executes_no_submodule():
     code = f"import sys, types, ssets; print({EXECUTED})"
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -162,16 +182,23 @@ def test_importing_the_package_executes_no_submodule():
 ARGPARSE_LOADS = (
     "sorted(n for n in sys.modules if n in ('argparse', 'gettext') or 'locale' in n)"
 )
+# json and its parts; the CLI writes its structured documents itself
+JSON_MODULES = ("json", "json.decoder", "json.encoder", "json.scanner", "_json")
+JSON_LOADS = f"sorted(set({JSON_MODULES!r}) & set(sys.modules))"
+FORMATS = ("structured", "text")
 
-# runs the CLI as ``python -m ssets.cli`` does, then lists what it executed
-# and what of argparse's imports it loaded
+# runs the CLI as ``python -m ssets.cli`` does, then lists what it executed,
+# what of argparse's imports it loaded and, before the harness imports
+# json to report, what of json it loaded
 RUN_CLI = f"""
-import json, runpy, sys, types
+import runpy, sys, types
 try:
     runpy.run_module("ssets.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert exc.code in (0, 1), exc.code
-print(json.dumps([{EXECUTED}, {ARGPARSE_LOADS}]), file=sys.stderr)
+report = [{EXECUTED}, {ARGPARSE_LOADS}, {JSON_LOADS}]
+import json
+print(json.dumps(report), file=sys.stderr)
 """
 
 
@@ -198,11 +225,14 @@ def bare_loads():
     "argv,modules", SUBCOMMAND_MODULES, ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES]
 )
 def test_each_subcommand_executes_only_the_modules_it_uses(tmp_path, argv, modules, bare_loads):
-    # every line here is canonical: the CLI reads it without argparse
+    # every line here is canonical: the CLI reads it without argparse, and
+    # writes its answer in either format without json
     argv = [a.format(out=tmp_path / "out.sset") for a in argv]
-    ran, loaded = _run_cli(["--format", "structured", *argv])
-    assert ran == ["ssets"] + [f"ssets.{m}" for m in modules.split()]
-    assert loaded == bare_loads
+    for fmt in FORMATS:
+        ran, loaded, json_loaded = _run_cli(["--format", fmt, *argv])
+        assert ran == ["ssets"] + [f"ssets.{m}" for m in modules.split()], fmt
+        assert loaded == bare_loads, fmt
+        assert json_loaded == [], fmt
 
 
 def test_importing_the_cli_loads_no_argparse(bare_loads):
@@ -215,7 +245,7 @@ def test_importing_the_cli_loads_no_argparse(bare_loads):
 
 
 def test_a_line_left_to_argparse_also_runs_the_usage_module(bare_loads):
-    ran, loaded = _run_cli(["--format=structured", "validate", "fixtures/delta2.sset"])
+    ran, loaded, _ = _run_cli(["--format=structured", "validate", "fixtures/delta2.sset"])
     assert ran == ["ssets", "ssets.core", "ssets.io", "ssets.usage"]
     assert {"argparse", "gettext"} <= set(loaded)
 
