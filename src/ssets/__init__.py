@@ -29,15 +29,15 @@ from types import ModuleType as _ModuleType
 _EXPORTS = {
     "core": "ConsistencyError GenId NotKanError Presentation Simplex SsetError "
     "StructureError TruncationError ValidationReport apply_word compact_simplex "
-    "degenerate format_simplex simplex_key vertex_simplex",
+    "degenerate euler_characteristic format_simplex simplex_key vertex_simplex",
     "groups": "GroupTable all_group_tables cyclic klein_four symmetric_3",
     "constructions": "adjoin_degeneracies boundary cone double_edge_circle horn "
     "nerve sphere_two_cell standard_simplex vertex_sequence",
     "morphism": "MapReport SimplicialMap apply_map compose identity_map validate_map",
     "product": "PrismSimplex ProductPresentation count_nondegenerate_top "
     "prism_decomposition product projections vertex_inclusion",
-    "homology": "ChainComplex HomologyGroup SNFResult euler_characteristic homology "
-    "homology_of_complex normalized_complex smith_normal_form unnormalized_complex",
+    "homology": "ChainComplex HomologyGroup SNFResult homology homology_of_complex "
+    "normalized_complex smith_normal_form unnormalized_complex",
     "kan": "HornSpec KanReport fill_horn fill_horn_all horn_compatible horn_map "
     "kan_check map_from_simplex",
     "homotopy": "BasedPresentation HomotopyData HomotopyReport PiGroup PiSet "

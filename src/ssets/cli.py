@@ -31,7 +31,7 @@ import warnings
 from types import SimpleNamespace
 
 from . import constructions, groups, homotopy, io as sio, kan, report, usage
-from .core import NotKanError, SsetError, format_simplex
+from .core import NotKanError, SsetError, euler_characteristic, format_simplex
 
 
 def _load(path):
@@ -53,13 +53,13 @@ def _pick_basepoint(p, name):
 
 
 # -- subcommand handlers; each returns (exit_code, payload, text_lines) ----
+# _emit adds the subcommand's name to every payload, as its "command"
 
 
 def _cmd_validate(args):
     p = _load(args.file)
     result = p.validate()
     payload = {
-        "command": "validate",
         "fatal": list(result.fatal),
         "violations": [
             {"generator": v.gen.name, "dim": v.gen.dim, "i": v.i, "j": v.j}
@@ -86,7 +86,6 @@ def _cmd_census(args):
         count = p.count_simplices(args.dim)
         kind = "total"
     payload = {
-        "command": "census",
         "dim": args.dim,
         "kind": kind,
         "count": count,
@@ -99,7 +98,6 @@ def _cmd_homology(args):
     p = _load(args.file)
     hgroups = homology(p, args.max_dim)
     payload = {
-        "command": "homology",
         "max_dim": args.max_dim,
         "groups": [
             {"degree": n, "betti": h.betti, "torsion": list(h.torsion)}
@@ -110,17 +108,15 @@ def _cmd_homology(args):
 
 
 def _cmd_euler(args):
-    from .homology import euler_characteristic
     p = _load(args.file)
     chi = euler_characteristic(p)
-    return 0, {"command": "euler", "euler": chi}, [f"euler characteristic: {chi}"]
+    return 0, {"euler": chi}, [f"euler characteristic: {chi}"]
 
 
 def _cmd_kan(args):
     p = _load(args.file)
     result = kan.kan_check(p, args.max_dim)
     payload = {
-        "command": "kan",
         "max_dim": result.max_dim,
         "horns_checked": result.horns_checked,
         "witnesses": [
@@ -149,7 +145,6 @@ def _cmd_pi0(args):
     p = _load(args.file)
     comps = homotopy.path_components(p)
     payload = {
-        "command": "pi0",
         "components": [[v.name for v in block] for block in comps],
     }
     lines = [f"{len(comps)} path components"]
@@ -157,9 +152,8 @@ def _cmd_pi0(args):
     return 0, payload, lines
 
 
-def _pi_payload(pi, command):
+def _pi_payload(pi):
     payload = {
-        "command": command,
         "n": pi.n,
         "order": pi.order,
         "closure_needed": pi.closure_needed,
@@ -189,7 +183,7 @@ def _cmd_pi(args):
     p = _load(args.file)
     based = homotopy.BasedPresentation(p, _pick_basepoint(p, args.basepoint))
     pi = homotopy.pi_n(based, args.n, require_kan_checked=args.check_kan)
-    return _pi_payload(pi, "pi")
+    return _pi_payload(pi)
 
 
 def _cmd_pirel(args):
@@ -205,7 +199,7 @@ def _cmd_pirel(args):
     sub = homotopy.SubPresentation(p, frozenset(members))
     based = homotopy.BasedPresentation(p, _pick_basepoint(p, args.basepoint))
     pi = homotopy.pi_n_rel(based, sub, args.n)
-    return _pi_payload(pi, "pirel")
+    return _pi_payload(pi)
 
 
 def _cmd_homotopic(args):
@@ -214,7 +208,6 @@ def _cmd_homotopic(args):
     y = sio.parse_simplex(p, args.xp, args.n)
     result = homotopy.simplices_homotopic(p, x, y)
     payload = {
-        "command": "homotopic",
         "n": args.n,
         "x": format_simplex(x),
         "xp": format_simplex(y),
@@ -224,11 +217,10 @@ def _cmd_homotopic(args):
     return 0 if result else 1, payload, [line]
 
 
-def _wrote(args, command, p, line, **extra):
+def _wrote(args, p, line, **extra):
     """Save ``p`` to ``--output`` and report it: the tail of every writing command."""
     sio.save_presentation(p, args.output)
     payload = {
-        "command": command,
         "output": args.output,
         "generators": list(p.generator_counts()),
         "top_dim": p.top_dim,
@@ -243,7 +235,7 @@ def _cmd_product(args):
     b = _load(args.right)
     prod = product(a, b)
     line = f"generators per dimension {prod.generator_counts()}"
-    return _wrote(args, "product", prod, line)
+    return _wrote(args, prod, line)
 
 
 def _cmd_nerve(args):
@@ -258,7 +250,7 @@ def _cmd_nerve(args):
             sio._check_writable(sorted(set(table.elements) - {table.identity_name}))
     p = constructions.nerve(table, args.top_dim)
     line = f"nerve of a group of order {table.order}, truncated at {p.top_dim}"
-    return _wrote(args, "nerve", p, line, order=table.order)
+    return _wrote(args, p, line, order=table.order)
 
 
 def _cmd_standard(args):
@@ -271,14 +263,13 @@ def _cmd_standard(args):
     else:
         p = constructions.sphere_two_cell(args.sphere, top_dim=args.top_dim)
     line = f"generators per dimension {p.generator_counts()}"
-    return _wrote(args, "standard", p, line)
+    return _wrote(args, p, line)
 
 
 def _cmd_cw_report(args):
     p = _load(args.file)
     rep = report.cw_report(p)
     payload = {
-        "command": "cw-report",
         "cells_per_dim": list(rep.cells_per_dim),
         "euler": rep.euler,
         "attachments": [
@@ -315,7 +306,6 @@ def _cmd_delta_report(args):
     p = _load(args.file)
     cells = report.delta_realization_report(p, args.max_dim)
     payload = {
-        "command": "delta-report",
         "max_dim": args.max_dim,
         "cells_per_dim": list(cells),
     }
@@ -325,7 +315,7 @@ def _cmd_delta_report(args):
 def _cmd_export_graph(args):
     p = _load(args.file)
     text = report.incidence_export(p)
-    return 0, {"command": "export-graph", "dot": text}, [text.rstrip("\n")]
+    return 0, {"dot": text}, [text.rstrip("\n")]
 
 
 # The command-line grammar, its one record: per subcommand its help, its
@@ -466,7 +456,7 @@ def _json(value, indent="\n"):
 
 def _emit(args, payload, lines):
     if args.format == "structured":
-        print(_json(payload))
+        print(_json({"command": args.command, **payload}))
     else:
         for line in lines:
             print(line)

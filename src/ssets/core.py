@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 
 class SsetError(Exception):
@@ -607,3 +607,8 @@ class Presentation:
             f"<Presentation{label} generators={self.generator_counts()} "
             f"top_dim={self.top_dim}>"
         )
+
+
+def euler_characteristic(p: Presentation) -> int:
+    """Alternating sum of nondegenerate cell counts."""
+    return sum((-1) ** d * c for d, c in enumerate(p.generator_counts()))

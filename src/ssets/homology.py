@@ -289,8 +289,3 @@ def homology(p: Presentation, max_dim: int) -> tuple[HomologyGroup, ...]:
     _check_max_dim(p, max_dim)
     ranks = [len(p.generators_at(n)) for n in range(max_dim + 1)]
     return _homology(ranks, lambda n: _boundary(p, n))
-
-
-def euler_characteristic(p: Presentation) -> int:
-    """Alternating sum of nondegenerate cell counts."""
-    return sum((-1) ** d * c for d, c in enumerate(p.generator_counts()))

@@ -17,7 +17,7 @@ cross-checked against the resulting multiplication table.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .core import (
     ConsistencyError,

@@ -203,14 +203,14 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     One resolver reads a faces line in both passes.  Pass one resolves a
     line if its generator is already known and unambiguous, no earlier
     faces line named it, its entry count is right and every entry resolves
-    silently, with a canonical word and no error.  Any other line is
-    deferred with its text and its place: the count of rows resolved
-    before it.  Pass two hands the deferred lines to the resolver in
-    order, which now raises or warns as a two-pass reader would.  Of what
-    a resolved line was checked against, only its name's carrier can
-    change later, when a generators line follows; pass two then stops at
-    the first resolved row whose name became ambiguous, after the
-    deferred lines placed before it.
+    silently, with a canonical word and no error.  From the first line
+    that does not, pass one holds every faces line, and pass two hands the
+    held lines to the resolver in order, which now raises or warns as a
+    two-pass reader would.  So every resolved row comes before every held
+    line.  Of what a resolved row was checked against, only its name's
+    carrier can change later, when a generators line follows; pass two
+    then raises on the first resolved row whose name became ambiguous
+    before it reads any held line.
     """
     style = None
     top_dim = None
@@ -221,9 +221,9 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     carrier: dict[str, GenId | None] = {}
     duplicates: dict[int, str] = {}  # per dimension, its first name read twice
     faces: dict[GenId, tuple[Simplex, ...]] = {}
-    # (rows resolved before it, line number, name, entries) of each deferred line
-    deferred: list[tuple[int, int, str, list[str]]] = []
-    deferred_names: set[str] = set()
+    # (line number, name, entries) of each faces line from the first that
+    # does not resolve silently
+    held: list[tuple[int, str, list[str]]] = []
     generators_after_faces = False
 
     def lookup(dim, n):
@@ -261,7 +261,7 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
         """Write the row of a faces line into ``faces`` and return True.
 
         A line that does not resolve silently returns False in pass one (no
-        ``lineno``), which defers it, and raises or warns in pass two.
+        ``lineno``), which holds it, and raises or warns in pass two.
         """
         g = carrier.get(gen_name)
         if g is None:
@@ -270,7 +270,7 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
                 if gen_name in carrier
                 else f"faces given for unknown or zero-dimensional generator {gen_name!r}"
             )
-        elif g in faces or (lineno is None and gen_name in deferred_names):
+        elif g in faces:
             error = f"duplicate face entries for {gen_name!r}"
         elif len(entries) != g.dim + 1:
             error = f"generator {gen_name!r} needs {g.dim + 1} faces, got {len(entries)}"
@@ -300,9 +300,8 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             entries = list(map(str.strip, exprs.split(";")))
             if "" in entries:
                 raise ParseError("empty face expression", lineno)
-            if not resolve(gen_name, entries):
-                deferred.append((len(faces), lineno, gen_name, entries))
-                deferred_names.add(gen_name)
+            if held or not resolve(gen_name, entries):
+                held.append((lineno, gen_name, entries))
         elif head == "name":
             doc_name = rest or doc_name
         elif head == "style":
@@ -346,21 +345,16 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
             raise SemanticError(
                 f"duplicate generator {duplicates[dim]!r} in dimension {dim}"
             )
-    # the first resolved row whose name a later generators line made ambiguous
-    ambiguous = None
-    if generators_after_faces:
-        ambiguous = next(
-            ((k, g) for k, g in enumerate(faces) if carrier[g.name] is None), None
-        )
-    stop = len(faces) if ambiguous is None else ambiguous[0]
-    deferred.reverse()  # popped in line order, so each is freed once read
-    while deferred and deferred[-1][0] <= stop:
-        _, lineno, gen_name, entries = deferred.pop()
+    if generators_after_faces:  # a resolved row whose name became ambiguous
+        for g in faces:
+            if carrier[g.name] is None:
+                raise SemanticError(
+                    f"ambiguous generator name {g.name!r}; duplicate across dimensions"
+                )
+    held.reverse()  # popped in line order, so each is freed once read
+    while held:
+        lineno, gen_name, entries = held.pop()
         resolve(gen_name, entries, lineno)
-    if ambiguous is not None:
-        raise SemanticError(
-            f"ambiguous generator name {ambiguous[1].name!r}; duplicate across dimensions"
-        )
     # each row is keyed on a distinct generator of dimension >= 1, so a
     # generator lacks one only if there are fewer rows than such generators
     if len(faces) < sum(len(named) for dim, named in gens.items() if dim):

@@ -10,7 +10,7 @@ could be a truncation artifact rather than a mathematical fact.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .core import (
     GenId,

@@ -8,7 +8,7 @@ has to check commutation with faces.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .core import (
     GenId,

@@ -10,7 +10,7 @@ Delta object keeps every degenerate simplex as an honest cell.
 
 from __future__ import annotations
 
-from .core import GenId, Presentation, Record, Simplex
+from .core import GenId, Presentation, Record, Simplex, euler_characteristic
 
 
 class Attachment(Record):
@@ -29,7 +29,6 @@ class CWReport(Record):
 
 def cw_report(p: Presentation) -> CWReport:
     """Cell counts, Euler characteristic, and per-cell attachment rows."""
-    from .homology import euler_characteristic
     rows = []
     for g in p.all_generators():
         if g.dim == 0:

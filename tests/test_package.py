@@ -78,6 +78,28 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_pi_job_without_site_loads_no_typing():
+    # the engine's annotation names come from collections.abc, which re
+    # loads anyway; under -S nothing else loads typing, so this job, which
+    # runs the most modules, shows any import of it
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('ssets.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(n for n in sys.modules if 'typing' in n), file=sys.stderr)"
+    )
+    argv = ["--format", "structured", "pi", "fixtures/nerve_z3.sset", "--n", "1"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(run.stdout)["order"] == 3
+    assert run.stderr == "[]\n"
+
+
 def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     # bench/trace_shim.py wraps package functions by name when it installs,
     # so removing one of them fails here and not only in a benchmark run
@@ -132,7 +154,7 @@ SUBCOMMAND_MODULES = [
     (["validate", "fixtures/delta2.sset"], "core io"),
     (["census", "fixtures/delta1.sset", "--dim", "5"], "core io"),
     (["homology", "fixtures/nerve_z2.sset", "--max-dim", "4"], "core homology io"),
-    (["euler", "fixtures/sphere2.sset"], "core homology io"),
+    (["euler", "fixtures/sphere2.sset"], "core io"),
     (["kan", "fixtures/delta1.sset", "--max-dim", "2"], "core io kan"),
     (["pi0", "fixtures/circle2.sset"], "core homotopy io"),
     (["pi", "fixtures/nerve_z3.sset", "--n", "1"], "core groups homotopy io kan"),
@@ -144,7 +166,7 @@ SUBCOMMAND_MODULES = [
     (["nerve", "--table", "fixtures/z3.table", "--top-dim", "3", "-o", "{out}"],
      "constructions core groups io"),
     (["standard", "--boundary", "3", "-o", "{out}"], "constructions core io"),
-    (["cw-report", "fixtures/sphere2.sset"], "core homology io report"),
+    (["cw-report", "fixtures/sphere2.sset"], "core io report"),
     (["delta-report", "fixtures/cone.sset", "--max-dim", "2"], "core io report"),
     (["export-graph", "fixtures/delta2.sset"], "core io report"),
 ]
