@@ -33,19 +33,18 @@ _EXPORTS = {
     "groups": "GroupTable all_group_tables cyclic klein_four symmetric_3",
     "constructions": "adjoin_degeneracies boundary cone double_edge_circle horn "
     "nerve sphere_two_cell standard_simplex vertex_sequence",
-    "morphism": "MapReport SimplicialMap apply_map compose identity_map validate_map",
+    "morphism": "HomotopyData HomotopyReport MapReport SimplicialMap apply_map compose "
+    "constant_homotopy cylinder_endpoints homotopy_from_cylinder horn_map identity_map "
+    "map_from_simplex projections validate_map verify_homotopy_data vertex_inclusion",
     "product": "PrismSimplex ProductPresentation count_nondegenerate_top "
-    "prism_decomposition product projections vertex_inclusion",
+    "prism_decomposition product",
     "homology": "ChainComplex HomologyGroup SNFResult homology homology_of_complex "
     "normalized_complex smith_normal_form unnormalized_complex",
-    "kan": "HornSpec KanReport fill_horn fill_horn_all horn_compatible horn_map "
-    "kan_check map_from_simplex",
-    "homotopy": "BasedPresentation HomotopyData HomotopyReport PiGroup PiSet "
-    "SubPresentation component_index constant_homotopy cylinder_endpoints "
-    "homotopy_classes homotopy_from_cylinder homotopy_witness "
-    "homotopy_witness_shifted les_boundary path_components pi_n pi_n_rel "
-    "rel_homotopy_witness simplices_homotopic simplices_homotopic_rel "
-    "verify_homotopy_data",
+    "kan": "HornSpec KanReport fill_horn fill_horn_all horn_compatible kan_check",
+    "homotopy": "BasedPresentation PiGroup PiSet SubPresentation component_index "
+    "homotopy_classes homotopy_witness homotopy_witness_shifted les_boundary "
+    "path_components pi_n pi_n_rel rel_homotopy_witness simplices_homotopic "
+    "simplices_homotopic_rel",
     "report": "CWReport cw_report delta_realization_report incidence_export",
     "io": "NormalizationWarning ParseError SemanticError dumps_presentation "
     "load_group_table load_map load_presentation loads_group_table loads_map "

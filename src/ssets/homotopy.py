@@ -17,7 +17,7 @@ cross-checked against the resulting multiplication table.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 from .core import (
     ConsistencyError,
@@ -25,14 +25,13 @@ from .core import (
     NotKanError,
     Presentation,
     Record,
-    Report,
     Simplex,
     StructureError,
     degenerate,
     format_simplex,
     vertex_simplex,
 )
-from . import groups, kan, morphism  # group products run groups and kan; maps run morphism
+from . import groups, kan  # only the homotopy groups run them
 
 
 class BasedPresentation(Record):
@@ -431,166 +430,6 @@ def _verify_horn_inverses(based: BasedPresentation, pi: PiGroup):
             product = pi.product(a, b) if side == "right" else pi.product(b, a)
             if product != pi.identity:
                 raise ConsistencyError(f"horn {side} inverse disagrees with the table")
-
-
-# -- homotopies of maps ------------------------------------------------------
-
-
-class HomotopyData(Record):
-    """Chain-level homotopy data: one (p+1)-simplex per level index and p-simplex."""
-
-    bound: int
-    values: Mapping[tuple[int, Simplex], Simplex]
-
-    def h(self, i: int, x: Simplex) -> Simplex:
-        try:
-            return self.values[(i, x)]
-        except KeyError:
-            raise KeyError(f"missing h_{i} value on {format_simplex(x)}") from None
-
-
-class HomotopyViolation(Record):
-    rule: str
-    p: int
-    i: int
-    j: int
-    simplex: Simplex
-
-    def __str__(self):
-        return (
-            f"{self.rule} fails at p={self.p}, i={self.i}, j={self.j} "
-            f"on {format_simplex(self.simplex)}"
-        )
-
-
-class HomotopyReport(Report):
-    """Outcome of :func:`verify_homotopy_data`, with :class:`HomotopyViolation`s."""
-
-
-def constant_homotopy(f: morphism.SimplicialMap, bound: int) -> HomotopyData:
-    """The homotopy from f to itself: h_i = s_i after f."""
-    values = {}
-    for p in range(bound + 1):
-        for x in f.source.simplices(p):
-            fx = morphism.apply_map(f, x)
-            for i in range(p + 1):
-                values[(i, x)] = degenerate(fx, i)
-    return HomotopyData(bound, values)
-
-
-def verify_homotopy_data(
-    f: morphism.SimplicialMap, g: morphism.SimplicialMap, data: HomotopyData, bound: int
-) -> HomotopyReport:
-    """Check the five condition families of a combinatorial homotopy.
-
-    Orientation: the d_0 end of the data is f and the top-face end is g.
-    Face conditions are checked on every source simplex up to the bound;
-    the degeneracy conditions compare against level p+1 and so run only
-    while that level is still within the bound.
-    """
-    if f.source != g.source or f.target != g.target:
-        return HomotopyReport(("f and g do not share source and target",), ())
-    if bound > data.bound:
-        return HomotopyReport(
-            (f"homotopy data only defined up to level {data.bound}",), ()
-        )
-    fatal = []
-    violations = []
-    for p in range(bound + 1):
-        for x in f.source.simplices(p):
-            try:
-                _check_simplex_conditions(f, g, data, bound, p, x, violations)
-            except (KeyError, _BadLevel) as exc:
-                fatal.append(str(exc))
-    return HomotopyReport(tuple(fatal), tuple(violations))
-
-
-class _BadLevel(Exception):
-    pass
-
-
-def _check_simplex_conditions(f, g, data, bound, p, x, violations):
-    x_pres, y_pres = f.source, f.target
-    hs = [data.h(i, x) for i in range(p + 1)]
-    if any(y.dim != p + 1 for y in hs):
-        raise _BadLevel(f"h value of wrong dimension on {format_simplex(x)}")
-    if y_pres.face(hs[0], 0) != morphism.apply_map(f, x):
-        violations.append(HomotopyViolation("d_0 h_0 = f", p, 0, 0, x))
-    if y_pres.face(hs[p], p + 1) != morphism.apply_map(g, x):
-        violations.append(HomotopyViolation("d_{p+1} h_p = g", p, p + 1, p, x))
-    for j in range(p):
-        if y_pres.face(hs[j + 1], j + 1) != y_pres.face(hs[j], j + 1):
-            violations.append(
-                HomotopyViolation("d_{j+1} h_{j+1} = d_{j+1} h_j", p, j + 1, j, x)
-            )
-    for j in range(p + 1):
-        for i in range(p + 2):
-            if i < j:
-                if y_pres.face(hs[j], i) != data.h(j - 1, x_pres.face(x, i)):
-                    violations.append(
-                        HomotopyViolation("d_i h_j = h_{j-1} d_i", p, i, j, x)
-                    )
-            elif i > j + 1:
-                if y_pres.face(hs[j], i) != data.h(j, x_pres.face(x, i - 1)):
-                    violations.append(
-                        HomotopyViolation("d_i h_j = h_j d_{i-1}", p, i, j, x)
-                    )
-    if p + 1 <= bound:
-        for j in range(p + 1):
-            for i in range(p + 2):
-                lhs = degenerate(hs[j], i)
-                if i <= j:
-                    rhs = data.h(j + 1, degenerate(x, i))
-                    rule = "s_i h_j = h_{j+1} s_i"
-                else:
-                    rhs = data.h(j, degenerate(x, i - 1))
-                    rule = "s_i h_j = h_j s_{i-1}"
-                if lhs != rhs:
-                    violations.append(HomotopyViolation(rule, p, i, j, x))
-
-
-def _cylinder(hmap: morphism.SimplicialMap):
-    """A cylinder map's product source, interval edge and (initial, final) ends."""
-    from .product import ProductPresentation
-    xy = hmap.source
-    if not isinstance(xy, ProductPresentation):
-        raise ValueError("cylinder maps must have a product source")
-    ones = xy.right.generators_at(1)
-    if len(ones) != 1 or xy.right.max_generator_dim != 1:
-        raise ValueError("right factor of the cylinder is not an interval")
-    final, initial = xy.right.faces_of(ones[0])
-    return xy, ones[0], initial.gen, final.gen
-
-
-def cylinder_endpoints(
-    hmap: morphism.SimplicialMap,
-) -> tuple[morphism.SimplicialMap, morphism.SimplicialMap]:
-    """(f, g) with f the final-end restriction and g the initial-end one."""
-    from .product import vertex_inclusion
-    xy, _, initial, final = _cylinder(hmap)
-    f = morphism.compose(hmap, vertex_inclusion(xy, final))
-    g = morphism.compose(hmap, vertex_inclusion(xy, initial))
-    return f, g
-
-
-def homotopy_from_cylinder(hmap: morphism.SimplicialMap, bound: int) -> HomotopyData:
-    """Convert a cylinder map into chain-level homotopy data.
-
-    h_k on a p-simplex x is the image of the k-th prism cell over x: the
-    pair of s_k x with the complementary degeneracy word on the interval
-    edge.
-    """
-    xy, edge, _, _ = _cylinder(hmap)
-    x_pres = xy.left
-    x_pres.require_trusted(bound, "homotopy data reaches dimension")
-    values = {}
-    for p in range(bound + 1):
-        for x in x_pres.simplices(p):
-            for k in range(p + 1):
-                word = tuple(j for j in range(p, -1, -1) if j != k)
-                prism_cell = xy.from_pair(degenerate(x, k), Simplex(word, edge))
-                values[(k, x)] = morphism.apply_map(hmap, prism_cell)
-    return HomotopyData(bound, values)
 
 
 # -- relative homotopy -------------------------------------------------------

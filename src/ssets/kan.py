@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .core import (
-    GenId,
-    Presentation,
-    Record,
-    Simplex,
-    format_simplex,
-)
-from . import constructions, morphism  # only the map builders run them
+from .core import Presentation, Record, Simplex, format_simplex
 
 
 class HornSpec(Record):
@@ -151,42 +144,3 @@ def kan_check(p: Presentation, max_n: int) -> KanReport:
 
             backtrack(0, {})
     return KanReport(max_n, tuple(witnesses), checked)
-
-
-def _subset_face(p: Presentation, x: Simplex, vertices, keep: set[int]) -> Simplex:
-    """The face of x spanned by ``keep``; ``vertices`` labels x's vertices in order.
-
-    The others are dropped from the last down, so each index stays in place.
-    """
-    for i in reversed(range(len(vertices))):
-        if vertices[i] not in keep:
-            x = p.face(x, i)
-    return x
-
-
-def map_from_simplex(p: Presentation, z: Simplex) -> morphism.SimplicialMap:
-    """The map from the standard simplex classifying z (top generator to z)."""
-    src = constructions.standard_simplex(z.dim)
-    assignment = {}
-    for g in src.all_generators():
-        keep = {int(v) for v in g.name.split(".")}
-        assignment[g] = _subset_face(p, z, range(z.dim + 1), keep)
-    return morphism.SimplicialMap(src, p, assignment)
-
-
-def horn_map(p: Presentation, h: HornSpec) -> morphism.SimplicialMap:
-    """The simplicial map from the horn presentation determined by a horn.
-
-    Each generator of the horn is a vertex subset missing at least one
-    index other than k; its image is the corresponding iterated face of
-    any assigned facet containing it.  Compatibility of the horn makes
-    the choice of facet irrelevant.
-    """
-    src = constructions.horn(h.n, h.k)
-    assignment: dict[GenId, Simplex] = {}
-    for g in src.all_generators():
-        keep = {int(v) for v in g.name.split(".")}
-        anchor = min(i for i in range(h.n + 1) if i not in keep and i != h.k)
-        facet = [v for v in range(h.n + 1) if v != anchor]
-        assignment[g] = _subset_face(p, h.faces[anchor], facet, keep)
-    return morphism.SimplicialMap(src, p, assignment)

@@ -21,9 +21,8 @@ from .core import (
     _new,
     apply_word,
     compact_simplex,
-    vertex_simplex,
 )
-from . import constructions, morphism  # only the maps and prism counts run them
+from . import constructions  # only the prism functions run it
 
 
 class ProductPresentation(Presentation):
@@ -172,29 +171,6 @@ def _row_reader(p: Presentation, n: int):
     """p.face_row on n-simplices over the objects of simplices(n - 1), built once each."""
     held = {s: s for s in p.simplices(n - 1)} if n else {}
     return cache(lambda a: tuple([held[f] for f in p.face_row(a)]))
-
-
-def projections(
-    p: ProductPresentation,
-) -> tuple[morphism.SimplicialMap, morphism.SimplicialMap]:
-    """The two componentwise projection maps."""
-    first = {g: p.pair_of(g)[0] for g in p.all_generators()}
-    second = {g: p.pair_of(g)[1] for g in p.all_generators()}
-    return (
-        morphism.SimplicialMap(p, p.left, first, name="pr1"),
-        morphism.SimplicialMap(p, p.right, second, name="pr2"),
-    )
-
-
-def vertex_inclusion(p: ProductPresentation, v: GenId) -> morphism.SimplicialMap:
-    """The slice inclusion X -> X x Y over a vertex v of Y."""
-    if not (v.dim == 0 and p.right.has_generator(v)):
-        raise ValueError(f"{v} is not a vertex of the right factor")
-    assignment = {
-        g: p.from_pair(Simplex((), g), vertex_simplex(v, g.dim))
-        for g in p.left.all_generators()
-    }
-    return morphism.SimplicialMap(p.left, p, assignment, name=f"incl@{v.name}")
 
 
 class PrismSimplex(Record):

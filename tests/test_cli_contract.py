@@ -14,10 +14,15 @@ the checkout.
 formatted differently across Python versions): per subcommand, its help,
 handler, arguments and mutually exclusive groups.
 
-After a deliberate output change, re-record both files from their stored
-argument lists with ``PYTHONPATH=src python tests/test_cli_contract.py``.
+``golden/cli_unreached.json`` lists, as ``module.qualname``, every
+function and method in ``src/ssets`` that none of the contract's runs
+calls: the library surface the CLI never reaches.
+
+After a deliberate output change, re-record the three files from the
+stored argument lists with ``PYTHONPATH=src python tests/test_cli_contract.py``.
 """
 
+import ast
 import contextlib
 import gc
 import io
@@ -220,15 +225,67 @@ def test_only_the_process_entry_freezes_the_collector(argv, tmp_path, monkeypatc
     assert {**got, "stderr": stderr} == want
 
 
+def _defs(path):
+    """Each function and method of a module, by the first line of its code object.
+
+    A decorated def's code starts at its first decorator.  Lambdas and
+    comprehensions are left out, as their code objects differ between
+    Python versions.
+    """
+    defs = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                defs[first] = f"{path.stem}.{prefix}{child.name}"
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(), path.name), "")
+    return defs
+
+
+def unreached(run_all):
+    """``run_all()``, and the sorted defs of ``src/ssets`` that it never calls."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        result = run_all()
+    finally:
+        sys.setprofile(None)
+    reached = {(Path(f).resolve(), line) for f, line in called}
+    names = [
+        name
+        for path in (ROOT / "src" / "ssets").resolve().glob("*.py")
+        for line, name in _defs(path).items()
+        if (path, line) not in reached
+    ]
+    return result, sorted(names)
+
+
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        runs = [
-            run_in(_workdir(Path(tmp, str(i)), CONTRACT["documents"]), run["argv"])
-            for i, run in enumerate(CONTRACT["runs"])
-        ]
+    def run_all():
+        with tempfile.TemporaryDirectory() as tmp:
+            return [
+                run_in(_workdir(Path(tmp, str(i)), CONTRACT["documents"]), run["argv"])
+                for i, run in enumerate(CONTRACT["runs"])
+            ]
+
+    runs, never = unreached(run_all)
     contract = {"documents": CONTRACT["documents"], "runs": runs}
     parser = parser_structure(cli.build_parser())
-    for name, doc in (("cli_contract.json", contract), ("cli_parser.json", parser)):
+    for name, doc in (
+        ("cli_contract.json", contract), ("cli_parser.json", parser), ("cli_unreached.json", never)
+    ):
         (GOLDEN / name).write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n")

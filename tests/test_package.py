@@ -142,6 +142,34 @@ def test_modules_bind_their_siblings_at_the_top():
                     assert node.level == 1 and node.module in SIBLINGS_BY_NAME, where
 
 
+def _calls_and_siblings(path):
+    """The names a module calls, the siblings it binds, and those it imports names from."""
+    calls, bound, named = set(), set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), path.name)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                bound.update(alias.name for alias in node.names)
+            else:
+                named.add(node.module)
+    return calls, bound, named
+
+
+def test_only_morphism_and_the_map_reader_build_maps():
+    # morphism holds every builder of a simplicial map, and io reads maps
+    # from files; the modules on the CLI's paths compile no map code
+    package = Path(ssets.__file__).parent
+    found = {name: _calls_and_siblings(package / f"{name}.py") for name in ssets._EXPORTS}
+    users = {name for name, (_, bound, named) in found.items() if "morphism" in bound | named}
+    assert users == {"io"}
+    builders = {name for name, (calls, _, _) in found.items() if "SimplicialMap" in calls}
+    assert builders == {"io", "morphism"}
+    _, bound, named = found["kan"]
+    assert bound == set() and named == {"core"}
+
+
 # Executed modules are plain ModuleType; a registered module whose code has
 # not run is of a subclass.  type() reads the class without running anything.
 EXECUTED = (
@@ -335,26 +363,24 @@ HORN = DELTA2 + (
 )
 SQUARE = DELTA1 + "square = S.product(d1, d1)\n"
 # maps are stand-ins with a map's attributes, so that building them runs no
-# morphism; the trailing S.HomotopyData runs homotopy
+# morphism
 IDENTITY = DELTA2 + (
     "import types\n"
     "ident = {g: S.Simplex((), g) for g in p.all_generators()}\n"
     "f = types.SimpleNamespace(source=p, target=p, assignment=ident)\n"
-    "S.HomotopyData\n"
 )
 CYLINDER = SQUARE + (  # the first projection of delta1 x delta1
     "import types\n"
     "first = {g: square.pair_of(g)[0] for g in square.all_generators()}\n"
     "hmap = types.SimpleNamespace(source=square, target=d1, assignment=first, name='pr1')\n"
-    "S.HomotopyData\n"
 )
 
 FIRST_TOUCHES = [
     ("constructions", "nerve", "", "constructions"), ("homotopy", "pi_n", "", "homotopy"),
     ("kan", "kan_check", "", "kan"), ("report", "cw_report", "", "report"),
     ("io", "load_map", "", "io"),
-    # constructions and morphism are first touched by horn_map's calls into them
-    ("kan", "horn_map", HORN + "args = (p, h)", "constructions morphism"),
+    # constructions is first touched by horn_map's call into it
+    ("morphism", "horn_map", HORN + "args = (p, h)", "constructions morphism"),
 ]
 
 
@@ -384,9 +410,9 @@ sys.stdout.buffer.write(pickle.dumps(result))
 """
 
 
-# a library function that calls into siblings its module binds but has not
-# run: the setup that builds its arguments, the call, and the modules that
-# the call itself must run first
+# a library function whose module has not run, or that calls into siblings
+# its module binds but has not run: the setup that builds its arguments,
+# the call, and the modules that the call itself must run first
 FIRST_CALLS = [
     (HORN, "S.horn_map(p, h)", "constructions morphism"),
     (HORN, "S.map_from_simplex(p, z)", "constructions morphism"),

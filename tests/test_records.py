@@ -13,17 +13,15 @@ import pytest
 import ssets as S
 from ssets import GenId, Simplex
 from ssets.core import DDViolation
-from ssets.homotopy import (
-    BasedPresentation,
+from ssets.homotopy import BasedPresentation, PiGroup, PiSet, SubPresentation
+from ssets.kan import HornSpec, KanReport
+from ssets.morphism import (
+    FaceMismatch,
     HomotopyData,
     HomotopyReport,
     HomotopyViolation,
-    PiGroup,
-    PiSet,
-    SubPresentation,
+    MapReport,
 )
-from ssets.kan import HornSpec, KanReport
-from ssets.morphism import FaceMismatch, MapReport
 from ssets.report import Attachment, CWReport
 
 V = GenId(0, "0")
