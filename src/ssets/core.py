@@ -564,32 +564,32 @@ class Presentation:
         """
         if self._dangling:
             return ValidationReport(self._dangling, ())
+        faces = self._faces
         violations = []
         degenerate_rows: dict[Simplex, tuple[Simplex, ...]] = {}
-
-        def row(f):
-            if not f.word:
-                return self._faces[f.gen]
-            r = degenerate_rows.get(f)
-            if r is None:
-                r = degenerate_rows[f] = self.face_row(f)
-            return r
-
-        for g in self.all_generators():
-            if g.dim < 2:
+        for n, gens in self._by_dim.items():  # in dimension order
+            if n < 2:
                 continue
-            rows = [row(f) for f in self._faces[g]]
-            for j in range(1, g.dim + 1):
-                for i in range(j):
-                    lhs = rows[j][i]
-                    rhs = rows[i][j - 1]
-                    if lhs != rhs:
-                        violations.append(DDViolation(g, i, j, lhs, rhs))
+            # d_i d_j g is rows[j][i] and d_{j-1} d_i g is rows[i][j - 1]
+            pairs = [(i, j - 1, j) for j in range(1, n + 1) for i in range(j)]
+            for g in gens:
+                rows = []
+                for f in faces[g]:
+                    word, gen = f
+                    r = degenerate_rows.get(f) if word else faces[gen]
+                    if r is None:
+                        r = degenerate_rows[f] = self.face_row(f)
+                    rows.append(r)
+                for i, k, j in pairs:
+                    if rows[j][i] != rows[i][k]:
+                        violations.append(DDViolation(g, i, j, rows[j][i], rows[i][k]))
         return ValidationReport((), tuple(violations))
 
     # -- misc ---------------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Presentation):
             return NotImplemented
         return (

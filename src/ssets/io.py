@@ -210,7 +210,11 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     line.  Of what a resolved row was checked against, only its name's
     carrier can change later, when a generators line follows; pass two
     then raises on the first resolved row whose name became ambiguous
-    before it reads any held line.
+    before it reads any held line.  Pass one splits a faces line where the
+    writer spaces it, at ``" : "`` and ``" ; "``, and splits it again at
+    ``:`` and ``;``, stripping each part, only if that does not resolve
+    silently.  A blank entry or one holding ``;`` never resolves, so both
+    splits give one row.
     """
     style = None
     top_dim = None
@@ -291,6 +295,11 @@ def _read_presentation(chunks, doc_name: str | None) -> Presentation:
     heads = ("faces", "name", "style", "top_dim", "generators")
     for lineno, head, rest in _directives(chunks, heads):
         if head == "faces":  # the most common line first
+            # split as the writer spells it; if that does not resolve
+            # silently, split again as any spelling is
+            gen_name, sep, exprs = rest.partition(" : ")
+            if sep and not held and resolve(gen_name, exprs.split(" ; ")):
+                continue
             gen_name, sep, exprs = rest.partition(":")
             if not sep:
                 raise ParseError("faces line needs a ':'", lineno)
@@ -383,8 +392,8 @@ def _document_lines(p: Presentation):
     # a faces line gives its generator by name alone, so the loader refuses a name
     # shared by two dimensions >= 1; a sorted list finds one in less memory than a set
     carried: list[str] = []
-    for d in range(p.max_generator_dim + 1):
-        names = [g.name for g in p.generators_at(d)]
+    for d, gens in p._by_dim.items():
+        names = [g[1] for g in gens]
         _check_writable(names)
         carried += names if d else ()
     carried.sort()
@@ -399,8 +408,6 @@ def _document_lines(p: Presentation):
     texts: dict[Simplex, str] = {}  # degenerate faces only: a generator's text is its name
 
     def text(f):
-        if not f.word:
-            return f.gen.name
         t = texts.get(f)
         if t is None:
             t = texts[f] = format_simplex(f)
@@ -411,13 +418,13 @@ def _document_lines(p: Presentation):
             yield f"name {name}\n"
         yield f"style {'delta' if p.delta_style else 'simplicial'}\n"
         yield f"top_dim {p.top_dim}\n"
-        for d in range(p.max_generator_dim + 1):
-            gens = p.generators_at(d)
-            if gens:
-                yield f"generators {d} : {' '.join(g.name for g in gens)}\n"
-        for g in p.all_generators():
-            if g.dim >= 1:
-                yield f"faces {g.name} : {' ; '.join(map(text, p.faces_of(g)))}\n"
+        for d, gens in p._by_dim.items():  # in dimension order
+            yield f"generators {d} : {' '.join([g[1] for g in gens])}\n"
+        faces = p._faces  # a face f is (word, gen), and gen is (dim, name)
+        for d, gens in p._by_dim.items():
+            for g in gens if d else ():
+                row = [f[1][1] if not f[0] else text(f) for f in faces[g]]
+                yield f"faces {g[1]} : {' ; '.join(row)}\n"
 
     return lines()
 

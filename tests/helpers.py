@@ -479,7 +479,7 @@ def rebuilt(p: Presentation) -> Presentation:
     )
 
 
-# -- random ordered complexes -------------------------------------------------
+# -- ordered complexes, random and fixed ----------------------------------------
 
 
 def random_complex(rng: random.Random, max_vertices: int = 7) -> Presentation:
@@ -506,24 +506,72 @@ def random_complex(rng: random.Random, max_vertices: int = 7) -> Presentation:
         if rng.random() < 0.5
         and all(t in triangles for t in combinations(q, 3))
     }
-    subsets = (
-        [(v,) for v in verts]
-        + [tuple(e) for e in sorted(edges)]
-        + [tuple(t) for t in sorted(triangles)]
-        + [tuple(q) for q in sorted(tetrahedra)]
-    )
-    name = lambda s: ".".join(str(v) for v in s)
-    gens = [GenId(len(s) - 1, name(s)) for s in subsets]
-    faces = {}
-    for s in subsets:
-        m = len(s) - 1
-        if m == 0:
-            continue
-        faces[GenId(m, name(s))] = tuple(
-            Simplex((), GenId(m - 1, name(s[:i] + s[i + 1 :]))) for i in range(m + 1)
+    facets = [(v,) for v in verts] + sorted(edges) + sorted(triangles) + sorted(tetrahedra)
+    return ordered_complex(facets, max(len(s) for s in facets) + 1, "random")
+
+
+def ordered_complex(facets, top_dim: int, name: str) -> Presentation:
+    """The simplicial complex the facets span, its vertices ordered as integers.
+
+    Each simplex is a generator named by its sorted vertices joined with
+    '.', and d_i deletes the i-th vertex: the paper's simplicial set of
+    an ordered simplicial complex.
+    """
+    simplices = {
+        tuple(sorted(c)) for f in facets for m in range(1, len(f) + 1) for c in combinations(f, m)
+    }
+    label = lambda s: ".".join(str(v) for v in s)
+    gens = [GenId(len(s) - 1, label(s)) for s in simplices]
+    faces = {
+        GenId(len(s) - 1, label(s)): tuple(
+            Simplex((), GenId(len(s) - 2, label(s[:i] + s[i + 1 :]))) for i in range(len(s))
         )
-    top = max(len(s) - 1 for s in subsets) + 2
-    return Presentation(gens, faces, top, name="random")
+        for s in simplices
+        if len(s) > 1
+    }
+    return Presentation(gens, faces, top_dim, name=name)
+
+
+def torus7() -> Presentation:
+    """The 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7.
+
+    Exact and not Kan; H = Z, Z^2, Z and pi_1 = Z^2.
+    """
+    shifts = ((0, 1, 3), (0, 2, 3))
+    return ordered_complex(
+        [[(i + k) % 7 for k in s] for i in range(7) for s in shifts], 4, "torus7"
+    )
+
+
+def rp2_6() -> Presentation:
+    """The 6-vertex RP^2: the icosahedron's 20 triangles modulo the antipodal map.
+
+    Exact and not Kan; H = Z, Z/2, 0, pi_1 = Z/2 and pi_2 = Z.
+    """
+    triangles = (
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+    )
+    return ordered_complex(triangles, 4, "rp2_6")
+
+
+def disk2() -> Presentation:
+    """Two triangles T1 = (q, a, p) and T2 = (q, b, p) on the vertices u, m, v.
+
+    The edges p: u -> m and q: m -> v are shared, and a and b both run from
+    u to v, so the union is a disk with boundary a b^-1: contractible, and
+    a and b are homotopic rel their ends.  Not Kan, and not a simplicial
+    complex, as two triangles share all three vertices.
+    """
+    u, m, v = (GenId(0, n) for n in "umv")
+    p, q, a, b = (GenId(1, n) for n in "pqab")
+    t1, t2 = GenId(2, "T1"), GenId(2, "T2")
+    row = lambda *gens: tuple(Simplex((), g) for g in gens)
+    faces = {
+        p: row(m, u), q: row(v, m), a: row(v, u), b: row(v, u),
+        t1: row(q, a, p), t2: row(q, b, p),
+    }
+    return Presentation([u, m, v, *faces], faces, 4, name="disk2")
 
 
 def random_subcomplex(rng: random.Random, p: Presentation) -> Presentation:

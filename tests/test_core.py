@@ -376,3 +376,15 @@ def test_simplex_tuple_order_is_not_the_enumeration_order():
     listed = p.simplices(2)
     assert sorted(listed, key=S.simplex_key) == list(listed)
     assert sorted(listed) != list(listed)
+
+
+def test_a_presentation_equals_itself_without_reading_its_face_table():
+    # an object is equal to itself at once: callers that compare one
+    # presentation with itself do not pay for a walk of the whole table
+    p = S.standard_simplex(3)
+    q = S.standard_simplex(3)
+    del p._faces
+    assert p == p and not p != p
+    with pytest.raises(AttributeError):
+        p == q
+    assert q == S.standard_simplex(3) and q != S.standard_simplex(2)

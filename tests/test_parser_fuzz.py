@@ -27,9 +27,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import rebuilt, two_pass_read_presentation
-from ssets import Presentation, SsetError, format_simplex
+from helpers import rebuilt, seeded_group, two_pass_read_presentation
+from ssets import Presentation, SsetError, cyclic, format_simplex, nerve, product, standard_simplex
 from ssets.io import (
+    ParseError,
+    SemanticError,
     dumps_presentation,
     load_map,
     load_presentation,
@@ -270,6 +272,98 @@ def test_parser_mutant_outcomes_are_unchanged():
         if (got := recorded_outcome(text)) != want
     ]
     assert not changed, f"{len(changed)} mutants changed outcome, first (index, recorded, now): {changed[0]}"
+
+
+# -- spellings other than the writer's -----------------------------------------
+
+# what may stand around the ':' of a generators or faces line and each ';'
+PADS = ("", " ", "  ", "\t", " \t ")
+COMMENTS = ("", " # a note", "\t#", "# x ; y : z")
+LINE_ENDS = ("\n", "\r\n", "\x0c")
+
+
+def respelled(text, rng):
+    """A document spelled another way than its writer spells it, seeded.
+
+    Most generators and faces lines get runs of spaces, tabs or nothing
+    around their ':' and each ';', and spaces after their directive; any
+    line may get a comment; each ends in a line feed, CRLF or form feed.
+    Every line keeps its number and every face expression its own text.
+    """
+    pad = lambda: rng.choice(PADS)
+    lines = []
+    for line in text.splitlines():
+        head, sep, rest = line.partition(" : ")
+        if sep and head.startswith(("faces ", "generators ")) and rng.random() < 0.8:
+            if head.startswith("faces "):
+                rest = ";".join(pad() + e + pad() for e in rest.split(" ; "))
+            head = head.replace(" ", rng.choice([" ", "   "]), 1)
+            line = f"{head}{pad()}:{pad()}{rest}"
+        lines.append(line + rng.choice(COMMENTS) + rng.choice(LINE_ENDS))
+    return "".join(lines)
+
+
+def writer_documents():
+    """The fixtures, the Δ4×Δ4 product and a seeded Z/16 nerve, as written."""
+    yield from SOURCES
+    yield dumps_presentation(product(standard_simplex(4), standard_simplex(4)))
+    yield dumps_presentation(nerve(seeded_group(cyclic(16), SEED), 3))
+
+
+def test_any_spacing_loads_what_the_writers_spacing_loads(tmp_path):
+    # the loader splits a faces line as the writer spaces it first, and
+    # splits it again as any spelling is only if that does not resolve;
+    # both must read one presentation, with the same warnings
+    rng = random.Random(SEED)
+    path = tmp_path / "respelled.sset"
+    for text in writer_documents():
+        want = _outcome(lambda: loads_presentation(text, name=path.stem))
+        assert isinstance(want[0][0], Presentation)
+        for _ in range(2):
+            other = respelled(text, rng)
+            assert other != text
+            assert _outcome(lambda: loads_presentation(other, name=path.stem)) == want
+        path.write_text(other, newline="")
+        assert _outcome(lambda: load_presentation(path)) == want
+
+
+# the faces line of the 3-simplex 0.1.2.3 of Δ4, spelled wrong in four ways,
+# and a ';' without spaces in a line that otherwise looks as written
+BROKEN = {
+    "1.2.3 ;  ; 0.1.3 ; 0.1.2": (ParseError, "empty face expression"),
+    "1.2.3 ; 0.2.3;0.1.3 ; 0.1.3 ; 0.1.2": (SemanticError, "needs 4 faces, got 5"),
+    "1.2.3 ; 0.2.3 ; 0.1.3": (SemanticError, "needs 4 faces, got 3"),
+    "s0 s0 1 ; 0.2.3 ; 0.1.3 ; 0.1.2": (None, "'s0 s0 1' normalized to 's1 s0 1'"),
+    "1.2.3 ; 0.2.3 ; 0.1.3;0.1.2": (None, None),
+}
+
+
+@pytest.mark.parametrize("entries", BROKEN)
+def test_a_broken_faces_line_gives_one_outcome_in_every_spelling(entries):
+    # the same error class, message and line, or the same presentation and
+    # warnings: as written, respelled, with every ';' spaced as the writer
+    # spaces it, and from the two-pass reference reader
+    lines = dumps_presentation(standard_simplex(4)).splitlines(keepends=True)
+    k = lines.index("faces 0.1.2.3 : 1.2.3 ; 0.2.3 ; 0.1.3 ; 0.1.2\n")
+    spaced = " ; ".join(e.strip() for e in entries.split(";"))
+    texts = [
+        "".join(lines[:k] + [f"faces 0.1.2.3 : {e}\n"] + lines[k + 1 :])
+        for e in (entries, spaced)
+    ]
+    rng = random.Random(SEED)
+    texts += [respelled(texts[0], rng) for _ in range(3)]
+    outcomes = [_outcome(lambda: loads_presentation(t)) for t in texts]
+    outcomes.append(_outcome(lambda: two_pass_read_presentation((texts[0],), None)))
+    assert outcomes == [outcomes[0]] * len(outcomes)
+    (result, *detail), warned = outcomes[0]
+    error, message = BROKEN[entries]
+    if error:
+        assert (result, detail[0].endswith(message)) == (error, True)
+        assert detail[1] == (k + 1 if error is ParseError else None)
+    elif message:
+        assert [str(w) for _, w in warned] == [f"degeneracy word in {message}"]
+    else:
+        assert (result, warned) == (standard_simplex(4), [])
 
 
 # -- the map and group-table readers -------------------------------------------
