@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, permutations
+from operator import itemgetter
 
 from .core import Record
 
@@ -26,28 +27,33 @@ class GroupTable(Record):
         if len(set(self.elements)) != n:
             raise ValueError("duplicate element names")
         for e in self.elements:
+            if not isinstance(e, str):
+                raise ValueError(f"element name {e!r} is not a string")
             if not e or any(c.isspace() for c in e) or set(e) & set(",;:#"):
                 raise ValueError(f"element name {e!r} contains reserved characters")
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("multiplication table has the wrong shape")
-        for r in self.table:
-            for v in r:
-                if not 0 <= v < n:
-                    raise ValueError("table entry out of range")
+        rows = tuple(map(tuple, self.table))
+        ids = tuple(range(n))
+        # 1.0 equals the index 1 and passes the set test, but cannot index a row
+        indexes = all(hasattr(k, "__index__") for k in set(map(type, chain(*rows))))
+        if not indexes or not set().union(*rows) <= set(ids):
+            raise ValueError("table entry out of range")
         e = self.identity
-        if not 0 <= e < n:
+        if e not in range(n) or not hasattr(type(e), "__index__"):
             raise ValueError("identity index out of range")
-        for i in range(n):
-            if self.table[e][i] != i or self.table[i][e] != i:
-                raise ValueError(f"{self.elements[e]} is not an identity")
-        for i in range(n):
-            if all(self.table[i][j] != e for j in range(n)):
-                raise ValueError(f"{self.elements[i]} has no inverse")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
-                        raise ValueError("multiplication is not associative")
+        if rows[e] != ids or tuple(r[e] for r in rows) != ids:
+            raise ValueError(f"{self.elements[e]} is not an identity")
+        for r, name in zip(rows, self.elements):
+            if e not in r:
+                raise ValueError(f"{name} has no inverse")
+        # (i j) k = i (j k) for every k: the row of i j is row i read at the
+        # entries of row j.  On one index itemgetter returns a scalar, and a
+        # one-element table is associative anyway.
+        if n > 1:
+            reads = [itemgetter(*r) for r in rows]
+            if any([rows[v] for v in r] != [read(r) for read in reads] for r in rows):
+                raise ValueError("multiplication is not associative")
 
     @property
     def order(self) -> int:
@@ -67,17 +73,10 @@ class GroupTable(Record):
         return self.elements[self.table[self.index(a)][self.index(b)]]
 
     def inverse(self, a: str) -> str:
-        i = self.index(a)
-        for j in range(self.order):
-            if self.table[i][j] == self.identity:
-                return self.elements[j]
-        raise AssertionError("unreachable: inverses checked at construction")
+        return self.elements[self.table[self.index(a)].index(self.identity)]
 
     def is_abelian(self) -> bool:
-        n = self.order
-        return all(
-            self.table[i][j] == self.table[j][i] for i in range(n) for j in range(n)
-        )
+        return list(zip(*self.table)) == list(map(tuple, self.table))
 
     @classmethod
     def from_rows(cls, elements, rows):
@@ -85,12 +84,9 @@ class GroupTable(Record):
         elements = tuple(elements)
         idx = {e: i for i, e in enumerate(elements)}
         table = tuple(tuple(idx[v] for v in row) for row in rows)
-        n = len(elements)
-        candidates = [
-            e
-            for e in range(n)
-            if all(table[e][i] == i and table[i][e] == i for i in range(n))
-        ]
+        ids = tuple(range(len(elements)))
+        columns = tuple(zip(*table))
+        candidates = [e for e, row in enumerate(table) if row == ids == columns[e]]
         if len(candidates) != 1:
             raise ValueError("table has no unique identity element")
         return cls(elements, table, candidates[0])

@@ -36,6 +36,8 @@ class HornSpec(Record):
             else:
                 if f is None:
                     raise ValueError(f"missing face in slot {i}")
+                if not isinstance(f, Simplex):
+                    raise ValueError(f"face in slot {i} is not a simplex: {f!r}")
                 if f.dim != self.n - 1:
                     raise ValueError(
                         f"face in slot {i} has dimension {f.dim}, expected {self.n - 1}"

@@ -462,6 +462,67 @@ def seeded_group(group: GroupTable, seed) -> GroupTable:
     return GroupTable.from_rows(names, rows)
 
 
+# -- entry-by-entry reference for the group-law check ----------------------------
+
+
+def entrywise_group_check(elements, table, identity) -> None:
+    """Raise ValueError unless the table obeys the group laws, entry by entry.
+
+    The reference for ``GroupTable.__post_init__``, which reads the same
+    laws off whole rows: the same checks in the same order, with the same
+    messages, and associativity tested on all n³ triples.
+    """
+    n = len(elements)
+    if n < 1:
+        raise ValueError("a group has at least one element")
+    if len(set(elements)) != n:
+        raise ValueError("duplicate element names")
+    for e in elements:
+        if not e or any(c.isspace() for c in e) or set(e) & set(",;:#"):
+            raise ValueError(f"element name {e!r} contains reserved characters")
+    if len(table) != n or any(len(r) != n for r in table):
+        raise ValueError("multiplication table has the wrong shape")
+    for r in table:
+        for v in r:
+            if not 0 <= v < n:
+                raise ValueError("table entry out of range")
+    e = identity
+    if not 0 <= e < n:
+        raise ValueError("identity index out of range")
+    for i in range(n):
+        if table[e][i] != i or table[i][e] != i:
+            raise ValueError(f"{elements[e]} is not an identity")
+    for i in range(n):
+        if all(table[i][j] != e for j in range(n)):
+            raise ValueError(f"{elements[i]} has no inverse")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    raise ValueError("multiplication is not associative")
+
+
+def random_unital_table(rng: random.Random, max_order: int = 6):
+    """(elements, table, identity): a random table with an identity row and column.
+
+    The order is 2 to max_order, as the one-element table is always a
+    group.  Each row also gets the identity at a random column, unless that
+    column is the identity's own, so that most draws reach the associative
+    law; the other entries are drawn freely, and most such tables break it.
+    """
+    n = rng.randint(2, max_order)
+    e = rng.randrange(n)
+    inverse = [rng.randrange(n) for _ in range(n)]
+
+    def entry(i, j):
+        if e in (i, j):
+            return i + j - e
+        return e if j == inverse[i] else rng.randrange(n)
+
+    table = tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+    return tuple(f"x{i}" for i in range(n)), table, e
+
+
 def rebuilt(p: Presentation) -> Presentation:
     """p's stored generators and face table through the public constructor.
 
@@ -491,19 +552,19 @@ def random_complex(rng: random.Random, max_vertices: int = 7) -> Presentation:
     """
     nv = rng.randint(3, max_vertices)
     verts = list(range(nv))
-    edges = {pair for pair in combinations(verts, 2) if rng.random() < 0.55}
+    edges = {pair for pair in combinations(verts, 2) if rng.random() < 0.97}
     # keep at least one full triangle so every sample has a 2-cell
     edges |= {(0, 1), (0, 2), (1, 2)}
     triangles = {(0, 1, 2)} | {
         t
         for t in combinations(verts, 3)
-        if rng.random() < 0.6
+        if rng.random() < 0.97
         and all(e in edges for e in combinations(t, 2))
     }
     tetrahedra = {
         q
         for q in combinations(verts, 4)
-        if rng.random() < 0.5
+        if rng.random() < 0.97
         and all(t in triangles for t in combinations(q, 3))
     }
     facets = [(v,) for v in verts] + sorted(edges) + sorted(triangles) + sorted(tetrahedra)
@@ -582,7 +643,7 @@ def random_subcomplex(rng: random.Random, p: Presentation) -> Presentation:
     gone: set[GenId] = set()
     for g in sorted(p.all_generators(), key=lambda g: g.dim):
         faces = p.faces_of(g) if g.dim else ()
-        if g != GenId(0, "0") and (rng.random() < 0.2 or any(f.gen in gone for f in faces)):
+        if g != GenId(0, "0") and (rng.random() < 0.97 or any(f.gen in gone for f in faces)):
             gone.add(g)
     kept = [g for g in p.all_generators() if g not in gone]
     faces = {g: p.faces_of(g) for g in kept if g.dim}
