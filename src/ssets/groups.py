@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import chain, permutations
-from operator import itemgetter
+from itertools import permutations
 
 from .core import Record
 
@@ -33,27 +32,25 @@ class GroupTable(Record):
                 raise ValueError(f"element name {e!r} contains reserved characters")
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("multiplication table has the wrong shape")
-        rows = tuple(map(tuple, self.table))
-        ids = tuple(range(n))
-        # 1.0 equals the index 1 and passes the set test, but cannot index a row
-        indexes = all(hasattr(k, "__index__") for k in set(map(type, chain(*rows))))
-        if not indexes or not set().union(*rows) <= set(ids):
+        rows = [list(r) for r in self.table]
+        ids = list(range(n))
+        entries = [v for r in rows for v in r]
+        # 1.0 equals the index 1, so the set test alone would let it through
+        if not all(isinstance(v, int) for v in entries) or not set(entries) <= set(ids):
             raise ValueError("table entry out of range")
         e = self.identity
-        if e not in range(n) or not hasattr(type(e), "__index__"):
+        if not isinstance(e, int) or not 0 <= e < n:
             raise ValueError("identity index out of range")
-        if rows[e] != ids or tuple(r[e] for r in rows) != ids:
+        if rows[e] != ids or [r[e] for r in rows] != ids:
             raise ValueError(f"{self.elements[e]} is not an identity")
         for r, name in zip(rows, self.elements):
             if e not in r:
                 raise ValueError(f"{name} has no inverse")
-        # (i j) k = i (j k) for every k: the row of i j is row i read at the
-        # entries of row j.  On one index itemgetter returns a scalar, and a
-        # one-element table is associative anyway.
-        if n > 1:
-            reads = [itemgetter(*r) for r in rows]
-            if any([rows[v] for v in r] != [read(r) for read in reads] for r in rows):
-                raise ValueError("multiplication is not associative")
+        # (i j) k = i (j k): the row of i j is row i read at the entries of row j
+        for row in rows:
+            for j in ids:
+                if rows[row[j]] != [row[k] for k in rows[j]]:
+                    raise ValueError("multiplication is not associative")
 
     @property
     def order(self) -> int:
@@ -76,7 +73,8 @@ class GroupTable(Record):
         return self.elements[self.table[self.index(a)].index(self.identity)]
 
     def is_abelian(self) -> bool:
-        return list(zip(*self.table)) == list(map(tuple, self.table))
+        rows = tuple(map(tuple, self.table))
+        return tuple(zip(*rows)) == rows
 
     @classmethod
     def from_rows(cls, elements, rows):
@@ -84,9 +82,12 @@ class GroupTable(Record):
         elements = tuple(elements)
         idx = {e: i for i, e in enumerate(elements)}
         table = tuple(tuple(idx[v] for v in row) for row in rows)
-        ids = tuple(range(len(elements)))
+        n = len(elements)
+        if len(table) != n or any(len(r) != n for r in table):
+            raise ValueError("multiplication table has the wrong shape")
+        ids = tuple(range(n))
         columns = tuple(zip(*table))
-        candidates = [e for e, row in enumerate(table) if row == ids == columns[e]]
+        candidates = [e for e in ids if table[e] == ids and columns[e] == ids]
         if len(candidates) != 1:
             raise ValueError("table has no unique identity element")
         return cls(elements, table, candidates[0])

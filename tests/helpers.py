@@ -552,19 +552,19 @@ def random_complex(rng: random.Random, max_vertices: int = 7) -> Presentation:
     """
     nv = rng.randint(3, max_vertices)
     verts = list(range(nv))
-    edges = {pair for pair in combinations(verts, 2) if rng.random() < 0.97}
+    edges = {pair for pair in combinations(verts, 2) if rng.random() < 0.55}
     # keep at least one full triangle so every sample has a 2-cell
     edges |= {(0, 1), (0, 2), (1, 2)}
     triangles = {(0, 1, 2)} | {
         t
         for t in combinations(verts, 3)
-        if rng.random() < 0.97
+        if rng.random() < 0.6
         and all(e in edges for e in combinations(t, 2))
     }
     tetrahedra = {
         q
         for q in combinations(verts, 4)
-        if rng.random() < 0.97
+        if rng.random() < 0.5
         and all(t in triangles for t in combinations(q, 3))
     }
     facets = [(v,) for v in verts] + sorted(edges) + sorted(triangles) + sorted(tetrahedra)
@@ -643,7 +643,7 @@ def random_subcomplex(rng: random.Random, p: Presentation) -> Presentation:
     gone: set[GenId] = set()
     for g in sorted(p.all_generators(), key=lambda g: g.dim):
         faces = p.faces_of(g) if g.dim else ()
-        if g != GenId(0, "0") and (rng.random() < 0.97 or any(f.gen in gone for f in faces)):
+        if g != GenId(0, "0") and (rng.random() < 0.2 or any(f.gen in gone for f in faces)):
             gone.add(g)
     kept = [g for g in p.all_generators() if g not in gone]
     faces = {g: p.faces_of(g) for g in kept if g.dim}

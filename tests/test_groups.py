@@ -95,6 +95,10 @@ def test_from_rows_wants_exactly_one_identity():
         S.GroupTable.from_rows("ab", ["ba", "bb"])
     with pytest.raises(ValueError, match="^table has no unique identity element$"):
         S.GroupTable.from_rows("ab", ["aa", "aa"])
+    # a row past the last element, or a short row, is no table at all
+    for rows in (["eg", "ge", "eg"], ["eg", "g"], ["e", "eg"]):
+        with pytest.raises(ValueError, match="^multiplication table has the wrong shape$"):
+            S.GroupTable.from_rows("eg", rows)
 
 
 def test_an_element_name_that_is_not_a_string_is_refused():
@@ -111,6 +115,7 @@ def test_an_element_name_that_is_not_a_string_is_refused():
         ((0, 1), (1, 0.0)),  # equal to an index, but no index
         ((0, 1), (1, "0")),
         ((0, 1), (1, None)),
+        ((0, 1), (1, [0])),
     ],
 )
 def test_a_table_entry_that_is_not_an_integer_is_out_of_range(table):
