@@ -11,11 +11,11 @@ with an ``error:`` line.  ``run`` is the process entry, for ``python -m
 ssets.cli`` and the ``ssets`` script: it exits with ``main``'s code.
 
 ``--format structured`` switches the payload to a stable JSON document,
-byte for byte ``json.dumps(payload, sort_keys=True, indent=2)`` but
-written without ``json``; repeated runs over the same inputs are
-byte-identical.  The engine modules are bound at the top, and the
-package runs each on its first use, so a job runs only the modules its
-handler calls into.
+``json.dumps(payload, sort_keys=True, indent=2)``; repeated runs over
+the same inputs are byte-identical.  Only a structured job imports
+``json``.  The engine modules are bound at the top, and the package runs
+each on its first use, so a job runs only the modules its handler calls
+into.
 
 ``COMMANDS`` is the one record of the grammar.  ``main`` reads a
 canonical line from it (``read_canonical``) and any other line with the
@@ -415,48 +415,10 @@ def read_canonical(argv):
     return SimpleNamespace(**ns)
 
 
-class _Escapes(dict):
-    r"""A ``str.translate`` table that escapes as ``json.dumps`` does (``ensure_ascii``).
-
-    Past ASCII each UTF-16 code unit is a ``\uXXXX``: an astral character
-    a surrogate pair, a lone surrogate itself.
-    """
-
-    def __missing__(self, n):
-        if n > 0xFFFF:
-            n -= 0x10000
-            return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
-        return f"\\u{n:04x}"
-
-
-_ESCAPES = _Escapes({n: chr(n) if 32 <= n < 127 else f"\\u{n:04x}" for n in range(128)})
-# '"' and '\' take a backslash, and so do the five controls with a short escape
-_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
-
-
-def _json(value, indent="\n"):
-    """``json.dumps(value, sort_keys=True, indent=2)`` for str-keyed dicts,
-    lists, tuples, str, bool, int and None; anything else raises ``TypeError``.
-    """
-    if isinstance(value, str):
-        return f'"{value.translate(_ESCAPES)}"'
-    if value is None or value is True or value is False:
-        return {None: "null", True: "true", False: "false"}[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        ends, items = "[]", [_json(v, inner) for v in value]
-    elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        ends, items = "{}", [f"{_json(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
-    else:
-        raise TypeError(f"{type(value).__name__} is not a payload value")
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
-
-
 def _emit(args, payload, lines):
     if args.format == "structured":
-        print(_json({"command": args.command, **payload}))
+        import json
+        print(json.dumps({"command": args.command, **payload}, sort_keys=True, indent=2))
     else:
         for line in lines:
             print(line)

@@ -23,11 +23,12 @@ class GroupTable(Record):
         n = len(self.elements)
         if n < 1:
             raise ValueError("a group has at least one element")
-        if len(set(self.elements)) != n:
-            raise ValueError("duplicate element names")
         for e in self.elements:
             if not isinstance(e, str):
                 raise ValueError(f"element name {e!r} is not a string")
+        if len(set(self.elements)) != n:
+            raise ValueError("duplicate element names")
+        for e in self.elements:
             if not e or any(c.isspace() for c in e) or set(e) & set(",;:#"):
                 raise ValueError(f"element name {e!r} contains reserved characters")
         if len(self.table) != n or any(len(r) != n for r in self.table):
@@ -81,7 +82,10 @@ class GroupTable(Record):
         """Build from rows of element names; identity found automatically."""
         elements = tuple(elements)
         idx = {e: i for i, e in enumerate(elements)}
-        table = tuple(tuple(idx[v] for v in row) for row in rows)
+        try:
+            table = tuple(tuple(idx[v] for v in row) for row in rows)
+        except KeyError as exc:
+            raise ValueError(f"unknown group element {exc.args[0]!r}") from None
         n = len(elements)
         if len(table) != n or any(len(r) != n for r in table):
             raise ValueError("multiplication table has the wrong shape")

@@ -99,6 +99,9 @@ def test_from_rows_wants_exactly_one_identity():
     for rows in (["eg", "ge", "eg"], ["eg", "g"], ["e", "eg"]):
         with pytest.raises(ValueError, match="^multiplication table has the wrong shape$"):
             S.GroupTable.from_rows("eg", rows)
+    # nor is a row that names no element
+    with pytest.raises(ValueError, match="^unknown group element 'x'$"):
+        S.GroupTable.from_rows(("e", "g"), [["e", "x"], ["g", "e"]])
 
 
 def test_an_element_name_that_is_not_a_string_is_refused():
@@ -106,6 +109,9 @@ def test_an_element_name_that_is_not_a_string_is_refused():
         S.GroupTable((1, 2), ((0, 1), (1, 0)), 0)
     with pytest.raises(ValueError, match=r"^element name None is not a string$"):
         S.GroupTable(("e", None), ((0, 1), (1, 0)), 0)
+    # refused before the duplicate check, which would need it hashable
+    with pytest.raises(ValueError, match=r"^element name \['a'\] is not a string$"):
+        S.GroupTable([["a"], ["b"]], ((0, 1), (1, 0)), 0)
 
 
 @pytest.mark.parametrize(
