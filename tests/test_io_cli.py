@@ -1,13 +1,18 @@
 """File formats, round-trips, warnings, and the command-line surface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ssets as S
 from ssets import Simplex, cli
@@ -692,6 +697,82 @@ def test_cli_structured_output_is_stable(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["groups"][1] == {"betti": 0, "degree": 1, "torsion": [2]}
+
+
+# one line per subcommand, ``kan`` and ``homotopic`` with a "no" (exit 1);
+# OUT is the file that a writing command is told to write
+OUT = object()
+EACH_SUBCOMMAND = [
+    ["validate", FIXTURES / "delta2.sset"],
+    ["census", FIXTURES / "delta1.sset", "--dim", 5],
+    ["homology", FIXTURES / "nerve_z2.sset", "--max-dim", 4],
+    ["euler", FIXTURES / "sphere2.sset"],
+    ["kan", FIXTURES / "delta1.sset", "--max-dim", 2],
+    ["pi0", FIXTURES / "circle2.sset"],
+    ["pi", FIXTURES / "nerve_z3.sset", "--n", 1],
+    ["pirel", FIXTURES / "nerve_z4.sset", "--sub", FIXTURES / "nerve_z4_sub2.sset", "--n", 1],
+    ["homotopic", FIXTURES / "nerve_z2.sset", "--n", 1, "g", "s0 *"],
+    ["product", FIXTURES / "delta1.sset", FIXTURES / "delta1.sset", "-o", OUT],
+    ["nerve", "--table", FIXTURES / "z3.table", "--top-dim", 3, "-o", OUT],
+    ["standard", "--boundary", 3, "-o", OUT],
+    ["cw-report", FIXTURES / "sphere2.sset"],
+    ["delta-report", FIXTURES / "cone.sset", "--max-dim", 2],
+    ["export-graph", FIXTURES / "delta2.sset"],
+]
+
+
+def test_each_subcommand_has_a_line_for_both_formats():
+    assert [argv[0] for argv in EACH_SUBCOMMAND] == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", EACH_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_the_format_changes_only_what_is_printed(argv, tmp_path, capsys):
+    answers, printed = [], {}
+    for fmt in cli.FORMATS:
+        out = tmp_path / f"{fmt}.sset"
+        line = [out if a is OUT else a for a in argv]
+        code, printed[fmt], err = run(capsys, "--format", fmt, *line)
+        answers.append((code, err, out.read_bytes() if out.exists() else None))
+    # the format leaves the exit code, the error stream and the file written alone
+    assert answers[0] == answers[1]
+    assert answers[0][:2] == ((1 if argv[0] in ("kan", "homotopic") else 0), "")
+    assert (answers[0][2] is None) == (OUT not in argv)
+    # the structured answer is one ASCII document that names its command,
+    # its keys sorted at every level and indented by two
+    doc = json.loads(printed["structured"])
+    assert doc["command"] == argv[0]
+    assert printed["structured"].isascii()
+    assert printed["structured"] == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert printed["text"] and printed["text"] != printed["structured"]
+
+
+# strings with the characters that JSON escapes, lone surrogates and astral ones
+PAYLOAD_STRINGS = st.text(
+    st.one_of(
+        st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u20ac\ud800\U0001d53e'),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=8,
+)
+PAYLOAD_TREES = st.recursive(
+    st.one_of(PAYLOAD_STRINGS, st.integers(), st.booleans(), st.none()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3), st.dictionaries(PAYLOAD_STRINGS, children, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(PAYLOAD_STRINGS.filter(lambda k: k != "command"), PAYLOAD_TREES,
+                       max_size=4))
+def test_a_structured_answer_is_ascii_and_reads_back_as_its_payload(payload):
+    args = SimpleNamespace(format="structured", command="validate")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(args, payload, ["never printed"])
+    assert out.getvalue().isascii()
+    assert json.loads(out.getvalue()) == {"command": "validate", **payload}
 
 
 def test_cli_structured_kan_witnesses(capsys):
